@@ -1,5 +1,9 @@
 """Benchmark: batched simulation engine vs. the scalar event loop.
 
+``Simulator.run`` always executes on the batched engine; the scalar side
+is the reference loop, reached through the test oracle
+``Simulator._run_reference``.
+
 The workload is the E15 bottleneck shape — periodic max-based gossip on a
 256-node line under drifted (per-node constant) rates — which is what
 capped realistic scale runs near D≈512 before the batched engine landed.
@@ -41,7 +45,7 @@ import numpy as np
 from conftest import write_headline
 from repro.algorithms import MaxBasedAlgorithm
 from repro.analysis.reporting import Table
-from repro.sim.simulator import SimConfig, run_simulation
+from repro.sim.simulator import SimConfig, Simulator
 from repro.sweep.families import drifted_rates
 from repro.topology.generators import line
 
@@ -58,19 +62,18 @@ EQ_DURATION = 30.0
 
 
 def _run(topology, rates, *, engine: str, record_trace: bool, duration: float):
+    """``engine="scalar"`` runs the reference oracle, ``"batched"`` the
+    production ``Simulator.run``."""
     algorithm = MaxBasedAlgorithm()
-    return run_simulation(
+    sim = Simulator(
         topology,
         algorithm.processes(topology),
         SimConfig(
-            duration=duration,
-            rho=RHO,
-            seed=SEED,
-            engine=engine,
-            record_trace=record_trace,
+            duration=duration, rho=RHO, seed=SEED, record_trace=record_trace
         ),
         rate_schedules=rates,
     )
+    return sim._run_reference() if engine == "scalar" else sim.run()
 
 
 def _timed(topology, rates, *, engine: str, record_trace: bool) -> float:

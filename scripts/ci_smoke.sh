@@ -5,9 +5,9 @@
 # then the fault/robustness suite (E13 + the `faults`-marked tests),
 # then the live runtime (a <=10s virtual-time demo, a UDP E14 quick cell,
 # a multiplexed router cell with live churn, the crash-failure
-# regression, and the E14 sim-vs-live table), then the batched-vs-scalar
-# engine
-# differential check, the scale experiment E15, the mobility experiment
+# regression, and the E14 sim-vs-live table), then the engine
+# differential check (the batched production path against the scalar
+# oracle), the scale experiment E15, the mobility experiment
 # E16 (dynamic topologies end-to-end), the observability layer
 # (repro.viz: a headless dashboard + mobility animation, the sweep
 # report artifact, and a live router run streaming rolling tail
@@ -103,7 +103,7 @@ if grep -q " NO " "$ARTIFACTS/e14.txt"; then
 fi
 
 echo
-echo "== simulation engine differential check (scalar vs batched) =="
+echo "== simulation engine differential check (scalar oracle vs batched production path) =="
 # The quick cut of the byte-identity contract: the engine-marked
 # differential suite (full algorithm x topology x fault x mobility grid
 # plus hypothesis scenarios; also reruns the fault-parity and replay
@@ -219,7 +219,7 @@ test -s BENCH_analysis.json \
     || { echo "error: bench_analysis wrote no BENCH_analysis.json" >&2; exit 1; }
 
 echo
-echo "== simulation engine benchmark (scalar vs batched, >= 5x at-scale) =="
+echo "== simulation engine benchmark (scalar oracle vs batched production path, >= 5x at-scale) =="
 python benchmarks/bench_sim.py
 test -s BENCH_sim.json \
     || { echo "error: bench_sim wrote no BENCH_sim.json" >&2; exit 1; }

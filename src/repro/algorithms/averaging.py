@@ -35,10 +35,9 @@ class AveragingProcess(PeriodicProcess):
         self.estimates.update(api, sender, value)
 
     def tick(self, api: NodeAPI) -> None:
-        estimates = self.estimates.estimates(api)
-        if not estimates:
+        target = self.estimates.max_estimate(api)
+        if target is None:
             return
-        target = max(estimates.values())
         gap = target - api.logical_now()
         if gap > 0:
             api.jump_logical_by(self.pull * gap)

@@ -13,6 +13,7 @@ they jump.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -119,17 +120,33 @@ class NeighborEstimates:
         credited = value + self.delay_compensation * api.distance(sender)
         self._last[sender] = (credited, api.hardware_now())
 
-    def estimate(self, api: NodeAPI, sender: int) -> float | None:
-        if sender not in self._last:
+    def max_estimate(self, api: NodeAPI) -> float | None:
+        """The largest current estimate; ``None`` while nothing is known."""
+        if not self._last:
             return None
-        value, hw_then = self._last[sender]
-        return value + (api.hardware_now() - hw_then)
+        hw = api.hardware_now()
+        return max([value + (hw - then) for value, then in self._last.values()])
 
-    def estimates(self, api: NodeAPI) -> dict[int, float]:
-        return {
-            sender: self.estimate(api, sender)  # type: ignore[misc]
-            for sender in self._last
-        }
+    def pulls(
+        self, api: NodeAPI, own: float, kappa: float
+    ) -> tuple[float, float] | None:
+        """``(max_u (est_u - own - kappa d_u), max_u (own - est_u - kappa
+        d_u))`` over known neighbors, in one pass; ``None`` if none."""
+        if not self._last:
+            return None
+        hw = api.hardware_now()
+        distance = api.distance
+        ahead = behind = -math.inf
+        for u, (value, then) in self._last.items():
+            est = value + (hw - then)
+            slack = kappa * distance(u)
+            pull = est - own - slack
+            if pull > ahead:
+                ahead = pull
+            pull = own - est - slack
+            if pull > behind:
+                behind = pull
+        return ahead, behind
 
     def known(self) -> list[int]:
         return sorted(self._last)

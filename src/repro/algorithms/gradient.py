@@ -64,18 +64,10 @@ class BoundedCatchUpProcess(PeriodicProcess):
         api.set_logical_multiplier(1.0)
 
     def _adjust(self, api: NodeAPI) -> None:
-        estimates = self.estimates.estimates(api)
-        if not estimates:
+        pulls = self.estimates.pulls(api, api.logical_now(), self.kappa)
+        if pulls is None:
             return
-        own = api.logical_now()
-        ahead = max(
-            value - own - self.kappa * api.distance(u)
-            for u, value in estimates.items()
-        )
-        behind = max(
-            own - value - self.kappa * api.distance(u)
-            for u, value in estimates.items()
-        )
+        ahead, behind = pulls
         if ahead > max(behind, 0.0):
             api.set_logical_multiplier(1.0 + self.mu)
         else:

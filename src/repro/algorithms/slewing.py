@@ -45,10 +45,10 @@ class SlewingMaxProcess(PeriodicProcess):
         self.estimates.update(api, sender, value)
 
     def tick(self, api: NodeAPI) -> None:
-        estimates = self.estimates.estimates(api)
-        if not estimates:
+        target = self.estimates.max_estimate(api)
+        if target is None:
             return
-        gap = max(estimates.values()) - api.logical_now()
+        gap = target - api.logical_now()
         if gap > 0:
             api.jump_logical_by(min(gap, self.sigma))
 

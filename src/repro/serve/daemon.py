@@ -14,9 +14,11 @@ Crash-safety choreography
   immediately and a client mid-request gets a prompt EOF (surfaced as a
   named :class:`~repro.errors.ServeError` by the client) instead of a
   hang.
-* Workers only compute; the parent alone writes to the store.  Orphaned
-  workers after a parent SIGKILL exit on their next pipe operation
-  (EOFError / BrokenPipeError) without touching disk.
+* Workers only compute; the parent alone writes to the store.  Each
+  worker closes every daemon handle it inherited (its own and its
+  siblings' parent pipe ends, and for respawns the listener and client
+  sockets), so after a parent SIGKILL its pipe reads EOF and it exits
+  without touching disk.
 * Manifests are written before the first cell of a sweep runs, and each
   finished cell's object is written before it is marked done.  A
   restarted daemon therefore re-derives exactly the missing cells from
@@ -61,14 +63,20 @@ _FORKING_TRANSPORTS = frozenset({"udp", "router"})
 _RESPAWN_BUDGET = 8
 
 
-def _worker_main(worker: int, conn) -> None:
+def _worker_main(worker: int, conn, inherited: list) -> None:
     """One pool worker: recv task, execute, send result, repeat.
 
     A task is ``{"hash", "kind", "params", "module"}``; the result
     echoes the hash with either ``metrics`` or a formatted ``error``.
     ``None`` (or a closed pipe — the parent died) ends the loop; the
     worker never opens the store.
+
+    ``inherited`` are the daemon's handles the fork copied in; closing
+    them lets a parent SIGKILL reach this worker as EOF (an open copy
+    of any parent pipe end would keep its pipe alive forever).
     """
+    for handle in inherited:
+        handle.close()
     while True:
         try:
             task = conn.recv()
@@ -177,8 +185,13 @@ class ServeDaemon:
 
     def _spawn_worker(self, worker: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = [parent_conn, *self._conns.values(), *self._clients]
+        if self._listener is not None:
+            inherited.append(self._listener)
         child = self._ctx.Process(
-            target=_worker_main, args=(worker, child_conn), daemon=True
+            target=_worker_main,
+            args=(worker, child_conn, inherited),
+            daemon=True,
         )
         child.start()
         child_conn.close()

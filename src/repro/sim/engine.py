@@ -1,8 +1,10 @@
-"""The batched simulation engine (``SimConfig(engine="batched")``).
+"""The batched simulation engine: every :meth:`Simulator.run` executes here.
 
 The scalar event loop in :mod:`repro.sim.simulator` is the *reference
-semantics*: one heap pop per event, one bisect per clock read, one
-:class:`~repro.sim.trace.TraceEvent` per action.  That loop caps
+semantics*, reachable only as the test oracle
+``Simulator._run_reference``: one heap pop per event, one bisect per
+clock read, one :class:`~repro.sim.trace.TraceEvent` per action.  That
+loop caps
 realistic gossip runs near diameter ~512 (experiment E15) even though
 the model makes the workload highly regular — periodic-broadcast gossip
 generates dense epochs of timer firings and deliveries whose order is
@@ -31,8 +33,8 @@ regularity without changing a single observable:
 
 Equivalence contract
 --------------------
-For every configuration, ``engine="batched"`` must produce the same
-execution as ``engine="scalar"``: identical trace digests, identical
+For every configuration, the batched engine must produce the same
+execution as the scalar reference loop: identical trace digests, identical
 logical-clock segments (hence bitwise-equal logical matrices), identical
 message records, identical topology timelines and fault statistics.
 This is the same discipline as the empty-FaultPlan and
@@ -69,7 +71,6 @@ from repro.sim.trace import (
     START,
     TIMER,
     TOPOLOGY,
-    TraceEvent,
 )
 
 __all__ = ["BatchedEngine"]
@@ -172,20 +173,6 @@ class _CursorLogicalClock(LogicalClock):
             self._cursor.value(t) - self._h_seg
         )
 
-    def jump_to(self, t: float, target: float) -> float:
-        # Same floats as the scalar jump_to -> jump_by chain, with the
-        # redundant second read folded away: jump_by's ``read(t)`` is
-        # bitwise ``current``, so its new value is ``current + amount``.
-        current = self._values[-1] + self._mults[-1] * (
-            self._cursor.value(t) - self._h_seg
-        )
-        if target <= current + TIME_EPS:
-            return 0.0
-        amount = target - current
-        self._append_segment(t, current + amount, self._mults[-1])
-        self._total_jump += amount
-        return amount
-
     def _append_segment(self, t: float, value: float, mult: float) -> None:
         # The scalar implementation, flattened, plus the segment-start
         # hardware cache refresh.
@@ -232,6 +219,12 @@ class _FastNodeAPI(NodeAPI):
         self._pairs: Any = _STALE
         #: Int encoding for this node's fault-free default-named timer.
         self._tick_event = -1 - node
+        #: This node's row of the live distance matrix as python floats
+        #: (swapped with the topology).
+        self._distances = simulator._dist_rows[node]
+
+    def distance(self, other: int) -> float:
+        return self._distances[other]
 
     def hardware_now(self) -> float:
         cursor = self._logical._cursor
@@ -246,10 +239,11 @@ class _FastNodeAPI(NodeAPI):
         return lc._values[-1] + lc._mults[-1] * (h - lc._h_seg)
 
     def jump_logical_to(self, target: float) -> float:
-        # ``_CursorLogicalClock.jump_to`` and ``_append_segment``
-        # flattened into the call site (the hottest path of gossip
-        # algorithms) — statement for statement the same floats and the
-        # same segment bookkeeping, ending with the JUMP trace row.
+        # ``LogicalClock.jump_to`` -> ``jump_by`` and the cursor
+        # ``_append_segment`` flattened into the call site (the hottest
+        # path of gossip algorithms) — the same floats and segment
+        # bookkeeping, with jump_by's redundant second read folded away
+        # (it is bitwise ``current``), ending with the JUMP trace row.
         sim = self._sim
         lc = self._logical
         t = sim.now
@@ -361,8 +355,8 @@ class _FastNodeAPI(NodeAPI):
         sim._msg_counter = seq
 
     def set_timer(self, delta_hardware: float, name: str = "tick") -> None:
-        # Engine ``set_timer`` unrolled: the cursor replaces the
-        # ``time_at(value_at(now) + delta)`` bisects, and the event goes
+        # The scalar ``Simulator.set_timer``, with the cursor replacing
+        # the ``time_at(value_at(now) + delta)`` bisects; the event goes
         # straight onto the queue's pending batch (``fire_at >= now``,
         # so the push guard cannot fire).
         if delta_hardware <= 0:
@@ -416,7 +410,6 @@ class BatchedEngine:
         self._queue = BatchEventQueue()
         self.now = 0.0
         self._msg_counter = 0
-        self._timer_generation = 0
         #: The one timer name that gets the bare-int fast encoding in
         #: fault-free runs (periodic algorithms use a single name for
         #: their gossip tick); interned from the first timer set.
@@ -429,19 +422,21 @@ class BatchedEngine:
         #: ``(seq, sender, receiver, payload, send_time, delay)`` row
         #: per network copy; Message objects materialize at the end.
         self._msgs: list[tuple] = []
+        #: The live distance matrix as python-float rows (swapped with
+        #: the topology): list indexing instead of numpy scalar lookups.
+        self._dist_rows = self.topology.distance_rows()
 
-        self._cursors: dict[int, _ScheduleCursor] = {}
         self._logical: dict[int, _CursorLogicalClock] = {}
         self._api: dict[int, _FastNodeAPI] = {}
         for node in self.topology.nodes:
             hw = self._hardware[node]
-            cursor = _ScheduleCursor(hw.schedule)
-            self._cursors[node] = cursor
-            self._logical[node] = _CursorLogicalClock(hw, cursor)
-            # The scalar simulator seeded one RNG per node before any
-            # draw; adopting those instances keeps the stream identical.
+            self._logical[node] = _CursorLogicalClock(
+                hw, _ScheduleCursor(hw.schedule)
+            )
+            # The simulator seeded one RNG per node before any draw;
+            # adopting those instances keeps the stream identical.
             self._api[node] = _FastNodeAPI(
-                self, node, self._logical[node], sim._api[node].rng
+                self, node, self._logical[node], sim._rngs[node]
             )
 
         #: node -> validated [(neighbor, delay), ...] for the current
@@ -469,20 +464,6 @@ class BatchedEngine:
         if self._rows is not None:
             self._rows.append((real_time, node, hardware, logical, kind, detail))
 
-    def record(self, event: TraceEvent) -> None:
-        """Scalar-style recording, for API paths that build full events."""
-        if self._rows is not None:
-            self._rows.append(
-                (
-                    event.real_time,
-                    event.node,
-                    event.hardware,
-                    event.logical,
-                    event.kind,
-                    event.detail,
-                )
-            )
-
     def send_message(self, sender: int, receiver: int, payload: Any) -> None:
         """The general (fault-aware, arbitrary-policy) send path.
 
@@ -495,7 +476,7 @@ class BatchedEngine:
         faults = self._faults
         if faults is not None and faults.node_down(sender):
             return
-        distance = self.topology.distance(sender, receiver)
+        distance = self._dist_rows[sender][receiver]
         raw = self.delay_policy.delay(
             sender, receiver, self.now, distance, self._msg_counter, self._delay_rng
         )
@@ -530,7 +511,8 @@ class BatchedEngine:
     def _build_broadcast(self, node: int) -> list[tuple[int, float]]:
         """Validate one node's per-neighbor delays, once per topology."""
         neighbors = self.topology.neighbors(node)
-        distances = [self.topology.distance(node, dest) for dest in neighbors]
+        row = self._dist_rows[node]
+        distances = [row[dest] for dest in neighbors]
         raws = self._bcast_hook(node, neighbors, distances)
         pairs = [
             (dest, validate_delay(raw, dist))
@@ -605,15 +587,6 @@ class BatchedEngine:
                 idx += 1
             queue._pend_min = pend_min
         self._msg_counter = seq
-
-    def set_timer(self, node: int, delta_hardware: float, name: str) -> None:
-        if delta_hardware <= 0:
-            raise SimulationError(f"timer delta must be positive, got {delta_hardware}")
-        cursor = self._cursors[node]
-        fire_at = cursor.invert(cursor.value(self.now) + delta_hardware)
-        self._timer_generation += 1
-        epoch = 0 if self._faults is None else self._faults.epoch(node)
-        self._queue.push(fire_at, (_TIMER, node, name, epoch))
 
     # ------------------------------------------------------------------
     # the event loop
@@ -820,7 +793,7 @@ class BatchedEngine:
         self.record_row(
             self.now,
             node,
-            self._cursors[node].value(self.now),
+            self._logical[node]._cursor.value(self.now),
             self._logical[node].read(self.now),
             CRASH,
             None,
@@ -831,7 +804,7 @@ class BatchedEngine:
         self.record_row(
             self.now,
             node,
-            self._cursors[node].value(self.now),
+            self._logical[node]._cursor.value(self.now),
             self._logical[node].read(self.now),
             RECOVER,
             None,
@@ -842,13 +815,20 @@ class BatchedEngine:
         self.topology = topology
         self._topology_timeline.append((self.now, topology))
         self._bcast_cache = {}
+        self._dist_rows = rows = topology.distance_rows()
         for api in self._api.values():
             api._pairs = _STALE
+            api._distances = rows[api.node]
         self.record_row(self.now, -1, 0.0, 0.0, TOPOLOGY, topology.name)
 
     # ------------------------------------------------------------------
 
     def _build_execution(self) -> Execution:
+        # The node APIs point back at the engine; dropping them breaks
+        # that cycle, so refcounting frees the run's working state
+        # (queue, message rows, distance rows) as soon as the caller
+        # drops the engine instead of at the next full GC pass.
+        self._api = {}
         # Materialize the columnar message store.  Message is a frozen
         # dataclass, whose generated __init__ pays one object.__setattr__
         # per field; filling the instance dict directly builds identical

@@ -17,6 +17,12 @@ fault machinery at all, so fault-free runs stay byte-identical to what
 the simulator produced before faults existed; likewise a
 :class:`~repro.topology.dynamic.DynamicTopology` with no change-points
 schedules nothing and stays byte-identical to the plain static run.
+
+:meth:`Simulator.run` executes on the
+:class:`~repro.sim.engine.BatchedEngine`.  The scalar heap loop below
+(:meth:`Simulator._run_reference`) is the reference semantics, kept
+only as the differential-test oracle the engine must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import Mapping, Optional
 from repro._constants import DEFAULT_RHO, TIME_EPS
 from repro.errors import SimulationError
 from repro.sim.clock import HardwareClock, LogicalClock
+from repro.sim.engine import BatchedEngine
 from repro.sim.events import (
     CrashNode,
     DeliverMessage,
@@ -77,20 +84,12 @@ class SimConfig:
         Seed for all randomness (per-node RNGs and random delay policies).
     record_trace:
         Traces cost memory; long benign runs may disable them.
-    engine:
-        ``"scalar"`` (the reference heap loop below) or ``"batched"``
-        (the vectorized :class:`~repro.sim.engine.BatchedEngine`).  The
-        two are observably identical — same traces, same clocks, same
-        messages — which the differential harness in
-        ``tests/test_engine_equivalence.py`` enforces; ``"batched"``
-        only changes wall-clock cost (``benchmarks/bench_sim.py``).
     """
 
     duration: float
     rho: float = DEFAULT_RHO
     seed: int = 0
     record_trace: bool = True
-    engine: str = "scalar"
 
 
 class Simulator:
@@ -121,21 +120,10 @@ class Simulator:
             raise SimulationError("processes must cover exactly the topology's nodes")
         if config.duration <= 0:
             raise SimulationError("duration must be positive")
-        if config.engine not in ("scalar", "batched"):
-            raise SimulationError(
-                f"unknown engine {config.engine!r} (expected 'scalar' or 'batched')"
-            )
         self.topology = topology
-        self._topology_timeline: list[tuple[float, Topology]] = [(0.0, topology)]
         self.config = config
         self.delay_policy: DelayPolicy = delay_policy or HalfDistanceDelay()
         self._processes = dict(processes)
-        self._queue = EventQueue()
-        self._trace = ExecutionTrace()
-        self._messages: list[Message] = []
-        self._msg_counter = 0
-        self._timer_generation = 0
-        self.now = 0.0
         self._finished = False
         self._delay_rng = random.Random(config.seed ^ 0x5EED)
         bind_run = getattr(self.delay_policy, "bind_run", None)
@@ -144,17 +132,13 @@ class Simulator:
 
         schedules = dict(rate_schedules or {})
         self._hardware: dict[int, HardwareClock] = {}
-        self._logical: dict[int, LogicalClock] = {}
-        self._api: dict[int, NodeAPI] = {}
+        #: One RNG per node, seeded before any draw; whichever loop runs
+        #: adopts these instances, so node randomness is loop-independent.
+        self._rngs: dict[int, random.Random] = {}
         for node in topology.nodes:
             schedule = schedules.get(node, PiecewiseConstantRate.constant(1.0))
-            hw = HardwareClock(schedule, config.rho)
-            lc = LogicalClock(hw)
-            self._hardware[node] = hw
-            self._logical[node] = lc
-            self._api[node] = NodeAPI(
-                self, node, lc, random.Random((config.seed * 1_000_003) ^ node)
-            )
+            self._hardware[node] = HardwareClock(schedule, config.rho)
+            self._rngs[node] = random.Random((config.seed * 1_000_003) ^ node)
 
         # Promote CrashingProcess wrappers to native crash-stop windows:
         # the wrapper names a *hardware* reading, which the node's rate
@@ -240,16 +224,41 @@ class Simulator:
     # the event loop
 
     def run(self) -> Execution:
-        """Execute until ``config.duration`` and return the finished execution."""
+        """Execute until ``config.duration`` and return the finished execution.
+
+        Hands the validated setup (clocks, fault controller, RNGs,
+        processes — all still untouched) to the
+        :class:`~repro.sim.engine.BatchedEngine`.
+        """
+        self._claim_run()
+        return BatchedEngine(self).run()
+
+    def _claim_run(self) -> None:
         if self._finished:
             raise SimulationError("a Simulator instance runs exactly once")
         self._finished = True
-        if self.config.engine == "batched":
-            # Hand the validated setup (clocks, fault controller, RNGs,
-            # processes — all still untouched) to the vectorized engine.
-            from repro.sim.engine import BatchedEngine
 
-            return BatchedEngine(self).run()
+    def _run_reference(self) -> Execution:
+        """The scalar heap loop: the reference semantics, test oracle only.
+
+        One heap pop per event, one bisect per clock read, one
+        :class:`TraceEvent` per action.  The differential harness
+        (``tests/test_engine_equivalence.py``) holds :meth:`run` to
+        byte identity with this loop; nothing in production calls it.
+        """
+        self._claim_run()
+        self._topology_timeline = [(0.0, self.topology)]
+        self._queue = EventQueue()
+        self._trace = ExecutionTrace()
+        self._messages: list[Message] = []
+        self._msg_counter = 0
+        self._timer_generation = 0
+        self.now = 0.0
+        self._logical = {n: LogicalClock(hw) for n, hw in self._hardware.items()}
+        self._api = {
+            n: NodeAPI(self, n, self._logical[n], self._rngs[n])
+            for n in self.topology.nodes
+        }
         duration = self.config.duration
 
         if self._dynamic is not None:

@@ -78,12 +78,6 @@ class SweepSpec:
     step: float = 1.0
     #: Wall seconds per simulation unit for wall-clock live transports.
     time_scale: float = 0.05
-    #: Simulation engine for ``"sim"`` cells: ``"scalar"`` or
-    #: ``"batched"``.  The engines are byte-identical (the differential
-    #: harness in ``tests/test_engine_equivalence.py`` is the contract),
-    #: so this is purely a speed knob; ``"scalar"`` cells keep their
-    #: historical cache keys (the param is only emitted when non-default).
-    engine: str = "scalar"
     name: str = "sweep"
 
     def __post_init__(self) -> None:
@@ -94,10 +88,6 @@ class SweepSpec:
                 raise SweepError(f"spec axis {axis!r} must be non-empty")
         if self.duration <= 0:
             raise SweepError(f"duration must be positive, got {self.duration}")
-        if self.engine not in ("scalar", "batched"):
-            raise SweepError(
-                f"engine must be 'scalar' or 'batched', got {self.engine!r}"
-            )
 
     # ------------------------------------------------------------------
 
@@ -202,8 +192,6 @@ class SweepSpec:
                     "rho": self.rho,
                     "step": self.step,
                 }
-                if self.engine != "scalar":
-                    params["engine"] = self.engine
                 jobs.append(Job(kind="benign-run", params=params))
             else:
                 jobs.append(
@@ -236,6 +224,9 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepSpec":
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
+        # Specs once carried a simulation-engine knob; dropping it keeps
+        # manifests written before its removal resumable.
+        payload = {k: v for k, v in payload.items() if k != "engine"}
         extra = set(payload) - known
         if extra:
             raise SweepError(f"unknown SweepSpec fields: {sorted(extra)}")

@@ -29,7 +29,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -97,11 +97,9 @@ class Topology:
         cls, distances: np.ndarray, *, name: str = "topology", **kwargs
     ) -> "Topology":
         """All pairs communicate (the model's default power)."""
-        n = np.asarray(distances).shape[0]
-        edges = frozenset(
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        )
-        return cls(np.asarray(distances, dtype=float), edges, name=name, **kwargs)
+        d = np.asarray(distances, dtype=float)
+        edges = frozenset(_upper_pairs(d, lambda rows: np.ones(rows.shape, bool)))
+        return cls(d, edges, name=name, **kwargs)
 
     @classmethod
     def with_radius(
@@ -115,12 +113,7 @@ class Topology:
         """Communication restricted to pairs at distance ``<= radius``."""
         d = np.asarray(distances, dtype=float)
         n = d.shape[0]
-        edges = frozenset(
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if d[i, j] <= radius + 1e-9
-        )
+        edges = frozenset(_upper_pairs(d, lambda rows: rows <= radius + 1e-9))
         topo = cls(d, edges, name=name, **kwargs)
         if any(not topo.neighbors(i) for i in range(n)):
             raise TopologyError(f"radius {radius} leaves a node isolated")
@@ -181,7 +174,8 @@ class Topology:
                 yield i, j
 
     def pairs_at_distance(self, d: float, *, tol: float = 1e-9) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in self.pairs() if abs(self.distance(i, j) - d) <= tol]
+        """Pairs ``i < j`` with ``|d_ij - d| <= tol``, in row-major order."""
+        return _upper_pairs(self.distances, lambda rows: np.abs(rows - d) <= tol)
 
     def adjacent_pairs(self) -> list[tuple[int, int]]:
         """Pairs at the minimum distance — the pairs Theorem 8.1 is about.
@@ -197,3 +191,30 @@ class Topology:
     def comm_pairs(self) -> list[tuple[int, int]]:
         """The communication edges, sorted for determinism."""
         return sorted(self.comm_edges)
+
+    def distance_rows(self) -> list[list[float]]:
+        """The distance matrix as nested lists of python floats.
+
+        Cached; ``distance_rows()[i][j]`` is bitwise ``distance(i, j)``
+        at a plain list index instead of a numpy scalar lookup.
+        """
+        rows = self.__dict__.get("_rows_cache")
+        if rows is None:
+            rows = self.__dict__["_rows_cache"] = self.distances.tolist()
+        return rows
+
+
+def _upper_pairs(
+    d: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
+) -> list[tuple[int, int]]:
+    """The ``(i, j)``, ``i < j``, where ``keep(d)`` holds, in row-major order.
+
+    ``keep`` maps a block of rows of ``d`` to a boolean mask; evaluating
+    it 64 rows at a time bounds the temporaries at ``64 x n`` instead of
+    a full ``n x n`` float copy.
+    """
+    pairs: list[tuple[int, int]] = []
+    for lo in range(0, d.shape[0], 64):
+        rows, cols = np.nonzero(np.triu(keep(d[lo : lo + 64]), k=lo + 1))
+        pairs.extend(zip((rows + lo).tolist(), cols.tolist()))
+    return pairs

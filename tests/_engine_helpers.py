@@ -4,8 +4,10 @@ The batched engine's contract is not "approximately the same results
 faster" — it is *byte identity*: the same trace digest, the same message
 list, the same fault counters, the same topology timeline and bitwise
 the same logical-clock values as the scalar event loop, for every
-scenario the simulator accepts.  These helpers run one scenario under
-both engines and assert that whole contract in one place, so every
+scenario the simulator accepts.  ``Simulator.run`` (the production path)
+always executes on the batched engine; the scalar loop survives only as
+the oracle ``Simulator._run_reference``.  These helpers run one scenario
+both ways and assert that whole contract in one place, so every
 differential test (``test_engine_equivalence.py``, the fault and replay
 regressions) compares the same surfaces.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.simulator import SimConfig, run_simulation
+from repro.sim.simulator import SimConfig, Simulator
 from repro.topology.dynamic import DynamicTopology
 
 __all__ = ["run_both", "assert_equivalent", "run_engine"]
@@ -33,26 +35,27 @@ def run_engine(
     fault_plan=None,
     record_trace=True,
 ):
-    """One run of ``algorithm`` on ``topology`` under the given engine."""
+    """One run of ``algorithm`` on ``topology``: ``engine="scalar"`` runs
+    the reference oracle, ``"batched"`` the production ``Simulator.run``."""
+    if engine not in ("scalar", "batched"):
+        raise ValueError(f"unknown engine {engine!r}")
     base = topology.initial if isinstance(topology, DynamicTopology) else topology
-    return run_simulation(
+    sim = Simulator(
         topology,
         algorithm.processes(base),
         SimConfig(
-            duration=duration,
-            rho=rho,
-            seed=seed,
-            record_trace=record_trace,
-            engine=engine,
+            duration=duration, rho=rho, seed=seed, record_trace=record_trace
         ),
         rate_schedules=rate_schedules,
         delay_policy=delay_policy,
         fault_plan=fault_plan,
     )
+    return sim._run_reference() if engine == "scalar" else sim.run()
 
 
 def run_both(topology, algorithm_factory, **kwargs):
-    """Run the same scenario under both engines; returns (scalar, batched).
+    """Run the same scenario on the oracle and the production path;
+    returns (scalar, batched).
 
     ``algorithm_factory`` is called once per engine so no algorithm state
     leaks between the runs.

@@ -1,9 +1,11 @@
 """Tests for the bounded-catch-up gradient candidate."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from _fault_helpers import assert_monotone_logical, run_crash_recovery
 from repro.algorithms import BoundedCatchUpAlgorithm, MaxBasedAlgorithm, NullAlgorithm
+from repro.algorithms.base import NeighborEstimates
 from repro.sim.messages import PerPairDelay, UniformRandomDelay
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
@@ -147,3 +149,61 @@ class TestRecovery:
     def test_still_never_jumps(self):
         ex = run_crash_recovery(BoundedCatchUpAlgorithm(period=0.5))
         assert all(ex.logical[n].total_jump() == 0.0 for n in ex.topology.nodes)
+
+
+class _FakeAPI:
+    """Just the reads ``NeighborEstimates`` makes: a hardware clock and
+    per-neighbor distances."""
+
+    def __init__(self, hardware, distances):
+        self.hardware = hardware
+        self.distances = distances
+
+    def hardware_now(self):
+        return self.hardware
+
+    def distance(self, other):
+        return self.distances[other]
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestEstimateFolds:
+    """``pulls`` and ``max_estimate`` fold the estimates in one pass; the
+    per-call dict comprehension and two generator maxima they replaced
+    are the oracle — bitwise equal results."""
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 50),
+            st.tuples(_finite, _finite, st.floats(0.5, 40.0)),
+            min_size=1,
+            max_size=12,
+        ),
+        _finite,
+        _finite,
+        st.floats(0.1, 4.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_match_dict_oracle(self, table, hardware, own, kappa, compensation):
+        estimates = NeighborEstimates(delay_compensation=compensation)
+        api = _FakeAPI(0.0, {u: d for u, (_, _, d) in table.items()})
+        for u, (value, then, _) in table.items():
+            api.hardware = then
+            estimates.update(api, u, value)
+        api.hardware = hardware
+        oracle = {
+            u: credited + (hardware - then)
+            for u, (credited, then) in estimates._last.items()
+        }
+        ahead = max(v - own - kappa * api.distance(u) for u, v in oracle.items())
+        behind = max(own - v - kappa * api.distance(u) for u, v in oracle.items())
+        assert estimates.pulls(api, own, kappa) == (ahead, behind)
+        assert estimates.max_estimate(api) == max(oracle.values())
+
+    def test_empty_table_is_none(self):
+        estimates = NeighborEstimates()
+        api = _FakeAPI(1.0, {})
+        assert estimates.pulls(api, 0.0, 2.0) is None
+        assert estimates.max_estimate(api) is None

@@ -1,11 +1,13 @@
 """Differential trace-equivalence harness: batched engine vs. scalar loop.
 
-The batched engine (``repro.sim.engine``) is allowed to reorganize *how*
-work is done — array-backed event queue, batch-scheduled broadcast
-deliveries, memoized schedule cursors — but never *what* happens: every
-scenario must produce a byte-identical trace digest, identical message
-list, identical fault counters and bitwise-equal clock values under both
-engines (see ``tests/_engine_helpers.py`` for the exact contract).
+The batched engine (``repro.sim.engine``, the only production path
+behind ``Simulator.run``) is allowed to reorganize *how* work is done —
+array-backed event queue, batch-scheduled broadcast deliveries,
+memoized schedule cursors — but never *what* happens: every scenario
+must produce a byte-identical trace digest, identical message list,
+identical fault counters and bitwise-equal clock values to the scalar
+reference loop, the oracle ``Simulator._run_reference`` (see
+``tests/_engine_helpers.py`` for the exact contract).
 
 The suite crosses every algorithm with every topology family, layers
 fault plans, random-delay policies, mobility (dynamic topology) and

@@ -2,9 +2,11 @@
 
 import pytest
 
+from _engine_helpers import run_engine
 from repro.algorithms import AveragingAlgorithm, MaxBasedAlgorithm
 from repro.experiments.common import drifted_rates
-from repro.sim.messages import UniformRandomDelay
+from repro.gcs.indistinguishability import assert_indistinguishable_prefix
+from repro.sim.messages import SequenceDelay, UniformRandomDelay
 from repro.sim.replay import delay_script, replay, verify_replay
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.generators import line
@@ -68,44 +70,52 @@ class TestReplay:
 
 @pytest.mark.engine
 class TestEngineRoundTrip:
-    """Replay across simulation engines: the latent gap this closes.
+    """Replay across the scalar oracle and the production engine.
 
-    An execution recorded under one engine must replay — and verify —
-    under the other, in both directions.  The byte-identity contract
-    between the engines makes the replayed runs comparable down to the
-    trace digest.
+    ``replay`` always runs on the production (batched) engine; the
+    scalar loop is reachable as the oracle ``Simulator._run_reference``.
+    An execution recorded by one must replay — and verify — on the
+    other, in both directions.  The byte-identity contract between them
+    makes the replayed runs comparable down to the trace digest.
     """
 
-    def batched_run(self, alg, seed=3, duration=25.0):
+    def scalar_run(self, alg, seed=3, duration=25.0):
         topo = line(6)
-        return run_simulation(
-            topo,
-            alg.processes(topo),
-            SimConfig(duration=duration, rho=0.3, seed=seed, engine="batched"),
+        return run_engine(
+            "scalar", topo, alg, duration=duration, rho=0.3, seed=seed,
             rate_schedules=drifted_rates(topo, rho=0.3, seed=seed),
             delay_policy=UniformRandomDelay(),
         )
 
+    def scalar_replay(self, ex, alg):
+        # ``replay`` on the oracle: the same frozen delays and schedules.
+        return run_engine(
+            "scalar", ex.topology, alg, duration=ex.duration, rho=ex.rho,
+            rate_schedules={n: hw.schedule for n, hw in ex.hardware.items()},
+            delay_policy=SequenceDelay(delay_script(ex)),
+        )
+
     def test_scalar_run_replays_under_batched(self):
-        ex = random_run(MaxBasedAlgorithm())
-        replayed = verify_replay(ex, MaxBasedAlgorithm(), engine="batched")
+        ex = self.scalar_run(MaxBasedAlgorithm())
+        replayed = verify_replay(ex, MaxBasedAlgorithm())
         assert replayed.trace.digest() == ex.trace.digest()
         assert replayed.messages == ex.messages
 
     def test_batched_run_replays_under_scalar(self):
-        ex = self.batched_run(MaxBasedAlgorithm())
-        replayed = verify_replay(ex, MaxBasedAlgorithm(), engine="scalar")
+        ex = random_run(MaxBasedAlgorithm())
+        replayed = self.scalar_replay(ex, MaxBasedAlgorithm())
+        assert_indistinguishable_prefix(ex, replayed)
         assert replayed.trace.digest() == ex.trace.digest()
         assert replayed.messages == ex.messages
 
     def test_batched_run_replays_under_batched(self):
-        ex = self.batched_run(MaxBasedAlgorithm())
-        replayed = verify_replay(ex, MaxBasedAlgorithm(), engine="batched")
+        ex = random_run(MaxBasedAlgorithm())
+        replayed = verify_replay(ex, MaxBasedAlgorithm())
         assert replayed.trace.digest() == ex.trace.digest()
 
     def test_scalar_and_batched_replays_agree(self):
         ex = random_run(MaxBasedAlgorithm())
-        via_scalar = replay(ex, MaxBasedAlgorithm())
-        via_batched = replay(ex, MaxBasedAlgorithm(), engine="batched")
+        via_scalar = self.scalar_replay(ex, MaxBasedAlgorithm())
+        via_batched = replay(ex, MaxBasedAlgorithm())
         assert via_scalar.trace.digest() == via_batched.trace.digest()
         assert via_scalar.messages == via_batched.messages

@@ -350,6 +350,52 @@ class TestServeCrashResume:
         assert served == expected
 
 
+def _children_of(pid: int) -> list[int]:
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(child) for child in path.read_text().split()]
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (an orphan that
+    exited may linger unreaped under a non-reaping init)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.serve
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc child lists to find the worker pids",
+)
+def test_sigkilled_daemon_leaves_no_orphaned_workers(tmp_path):
+    # Each worker must hold no copy of any parent pipe end (its own or a
+    # sibling's), or its recv() never sees EOF once the daemon is gone.
+    store = tmp_path / "store"
+    proc = start_daemon(store, workers=2)
+    workers: list[int] = []
+    try:
+        with ServeClient(store=store) as client:
+            client.ping()
+        workers = _children_of(proc.pid)
+        assert len(workers) == 2
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 3.0
+        while any(_running(w) for w in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [w for w in workers if _running(w)], "orphaned workers"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for worker in workers:
+            if _running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
 @pytest.mark.serve
 class TestServeProtocolErrors:
     def test_unknown_op_and_unknown_sweep_are_named_errors(self, daemon):

@@ -597,8 +597,12 @@ class TestSweepCLI:
 
 
 @pytest.mark.engine
-class TestEngineAxis:
-    """The simulation-engine knob on sim cells."""
+class TestProductionEngine:
+    """Sim cells have one engine: the batched one, behind ``Simulator.run``.
+
+    No spec field or job param selects a simulation engine.  The scalar
+    loop survives only as the test oracle ``Simulator._run_reference``.
+    """
 
     PARAMS = {
         "topology": "line:6",
@@ -612,28 +616,75 @@ class TestEngineAxis:
         "trace_digest": True,
     }
 
-    def test_batched_cell_matches_scalar_cell_exactly(self):
+    def test_benign_run_cells_run_the_batched_engine(self, monkeypatch):
+        from repro.sim.engine import BatchedEngine
+        from repro.sim.simulator import Simulator
+
+        runs = []
+        original = BatchedEngine.run
+
+        def spy(engine):
+            runs.append(engine)
+            return original(engine)
+
+        def no_oracle(sim):
+            raise AssertionError("a sweep cell reached the scalar oracle")
+
+        monkeypatch.setattr(BatchedEngine, "run", spy)
+        monkeypatch.setattr(Simulator, "_run_reference", no_oracle)
+        outcome = execute_job(Job(kind="benign-run", params=dict(self.PARAMS)))
+        assert len(runs) == 1
+        assert "trace_sha256" in outcome.metrics
+
+    def test_cell_matches_scalar_oracle_cell_exactly(self, monkeypatch):
         # Byte identity surfaces in the sweep layer as equal metric
         # dicts — including the trace_sha256 determinism probe.
-        scalar = execute_job(Job(kind="benign-run", params=dict(self.PARAMS)))
-        batched = execute_job(
-            Job(kind="benign-run", params={**self.PARAMS, "engine": "batched"})
-        )
-        assert scalar.metrics == batched.metrics
-        assert "trace_sha256" in scalar.metrics
+        from repro.sim.simulator import Simulator
 
-    def test_scalar_cells_keep_historical_cache_keys(self):
-        # The engine param is only emitted when non-default, so existing
-        # caches keep hitting for scalar grids.
-        base = dict(topologies=("line:5",), seeds=(0,), duration=8.0)
-        scalar_jobs = SweepSpec(**base).jobs()
-        batched_jobs = SweepSpec(engine="batched", **base).jobs()
-        assert all("engine" not in j.params for j in scalar_jobs)
-        assert all(j.params["engine"] == "batched" for j in batched_jobs)
-        assert job_hash(scalar_jobs[0]) == job_hash(
-            SweepSpec(engine="scalar", **base).jobs()[0]
+        job = Job(kind="benign-run", params=dict(self.PARAMS))
+        production = execute_job(job)
+        monkeypatch.setattr(Simulator, "run", Simulator._run_reference)
+        oracle = execute_job(job)
+        assert production.metrics == oracle.metrics
+        assert "trace_sha256" in production.metrics
+
+    def test_default_cells_keep_historical_cache_keys(self):
+        # Cells never carried an engine param by default, so removing
+        # the knob changes no job hash (and needs no CACHE_VERSION bump).
+        # The digest was computed before the knob was removed.
+        spec = SweepSpec(topologies=("line:5",), seeds=(0,), duration=8.0)
+        job = spec.jobs()[0]
+        assert "engine" not in job.params
+        assert job_hash(job) == (
+            "113d74597da4ba2c38db1595bd9a329a590b748006a920cf4a38cb5831c26fd2"
         )
 
-    def test_unknown_engine_rejected(self):
+    def test_legacy_engine_key_is_accepted_and_dropped(self):
+        payload = json.loads(TINY.to_json())
+        assert "engine" not in payload
+        for legacy in ("scalar", "batched"):
+            assert SweepSpec.from_dict({**payload, "engine": legacy}) == TINY
         with pytest.raises(SweepError):
-            SweepSpec(engine="warp")
+            SweepSpec.from_dict({**payload, "warp": 9})
+
+    def test_legacy_manifest_still_resumes(self, tmp_path):
+        # A serve manifest written while specs carried the engine field
+        # must not be skipped by the resume scan.
+        from repro.serve.daemon import ServeDaemon
+        from repro.serve.store import ContentStore, hashes_for
+
+        store = ContentStore(tmp_path / "store")
+        hashes = hashes_for(TINY.jobs())
+        sweep_id = store.write_manifest(TINY, hashes)
+        path = store.manifest_path(sweep_id)
+        manifest = json.loads(path.read_text())
+        manifest["spec"]["engine"] = "scalar"
+        path.write_text(json.dumps(manifest))
+        daemon = ServeDaemon(tmp_path / "store", workers=1)
+        try:
+            daemon._resume()
+            assert daemon.book.known(sweep_id)
+            assert daemon.book.hashes_of(sweep_id) == hashes
+            assert daemon.queue.depth == len(hashes)
+        finally:
+            daemon._selector.close()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.base import Topology
@@ -163,3 +164,119 @@ class TestGenerators:
     def test_two_nodes_rejects_below_unit(self):
         with pytest.raises(TopologyError):
             two_nodes(0.5)
+
+
+# ----------------------------------------------------------------------
+# numpy setup paths vs. the O(n^2) python loops they replaced
+
+
+def _grid_distances_loop(rows, cols):
+    coords = [(r, c) for r in range(rows) for c in range(cols)]
+    n = len(coords)
+    d = np.zeros((n, n))
+    for a, (ra, ca) in enumerate(coords):
+        for b, (rb, cb) in enumerate(coords):
+            d[a, b] = abs(ra - rb) + abs(ca - cb)
+    return d
+
+
+def _radius_edges_loop(d, radius):
+    n = d.shape[0]
+    return frozenset(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if d[i, j] <= radius + 1e-9
+    )
+
+
+def _pairs_at_distance_loop(topo, d, tol=1e-9):
+    return [(i, j) for i, j in topo.pairs() if abs(topo.distance(i, j) - d) <= tol]
+
+
+_RADII = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+
+
+@st.composite
+def _topologies(draw):
+    """(topology, radius, grid shape) over every generator family;
+    radius is ``None`` for the fully connected ``complete``, the shape
+    ``None`` for every family but ``grid``."""
+    family = draw(st.sampled_from(["line", "ring", "grid", "star", "complete",
+                                   "geometric"]))
+    if family == "line":
+        radius = draw(_RADII)
+        return line(draw(st.integers(2, 150)), comm_radius=radius), radius, None
+    if family == "ring":
+        radius = draw(_RADII)
+        return ring(draw(st.integers(3, 150)), comm_radius=radius), radius, None
+    if family == "grid":
+        rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        assume(rows * cols >= 2)
+        radius = draw(_RADII)
+        return grid(rows, cols, comm_radius=radius), radius, (rows, cols)
+    if family == "star":
+        arm = draw(st.sampled_from([1.0, 1.25, 2.0, 3.5]))
+        return star(draw(st.integers(1, 140)), arm=arm), arm, None
+    if family == "complete":
+        distance = draw(st.sampled_from([1.0, 1.5, 7.0]))
+        return complete(draw(st.integers(2, 100)), distance=distance), None, None
+    topo = random_geometric(draw(st.integers(2, 90)), seed=draw(st.integers(0, 50)))
+    radius = float(
+        max(2.0, np.where(np.eye(topo.n, dtype=bool), np.inf, topo.distances)
+            .min(axis=1).max())
+    )
+    return topo, radius, None
+
+
+class TestNumpySetupMatchesLoops:
+    """``grid``'s distance fill, ``with_radius``'s edge scan and
+    ``pairs_at_distance`` are numpy; the python loops they replaced
+    are the oracles — equal matrices, equal edge sets, and identical
+    pair lists, order and element types included."""
+
+    @staticmethod
+    def check(topo, radius, shape, d):
+        if shape is not None:
+            assert np.array_equal(topo.distances, _grid_distances_loop(*shape))
+        if radius is not None:
+            assert topo.comm_edges == _radius_edges_loop(topo.distances, radius)
+        adjacent = topo.adjacent_pairs()
+        assert adjacent == _pairs_at_distance_loop(topo, topo.min_distance)
+        assert all(type(i) is int and type(j) is int for i, j in adjacent)
+        assert topo.pairs_at_distance(d) == _pairs_at_distance_loop(topo, d)
+        assert all(type(i) is int for pair in topo.comm_edges for i in pair)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_topologies(), st.data())
+    def test_matches_loop_oracles(self, case, data):
+        topo, radius, shape = case
+        d = data.draw(st.sampled_from(sorted(set(topo.distances.ravel().tolist()))))
+        self.check(topo, radius, shape, d)
+
+    @pytest.mark.parametrize(
+        "build, radius, shape",
+        [
+            (lambda: line(200, comm_radius=2.5), 2.5, None),
+            (lambda: ring(131, comm_radius=3.0), 3.0, None),
+            (lambda: grid(9, 15, comm_radius=2.0), 2.0, (9, 15)),
+            (lambda: star(100, arm=1.5), 1.5, None),
+            (lambda: complete(70, distance=2.0), None, None),
+        ],
+        ids=["line", "ring", "grid", "star", "complete"],
+    )
+    def test_matches_loop_oracles_across_row_blocks(self, build, radius, shape):
+        # Past one 64-row block, so the blockwise scan's offsets count.
+        topo = build()
+        for d in (topo.min_distance, topo.diameter, float(np.median(topo.distances))):
+            self.check(topo, radius, shape, d)
+
+    @given(st.integers(1, 6), st.integers(1, 6))
+    def test_grid_positions_match_coordinates(self, rows, cols):
+        assume(rows * cols >= 2)
+        positions = grid(rows, cols).positions
+        assert positions == {
+            r * cols + c: (float(c), float(r))
+            for r in range(rows)
+            for c in range(cols)
+        }
