@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices EXPERIMENTS.md calls out
+("Deviations from the proof").
 
 * shrink factor ``B`` of the Theorem 8.1 driver (the proof's
   ``384 tau f(1)``, parameterized here);

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Each benchmark regenerates one of the paper's evaluation artifacts
-(tables E01-E11 as defined in DESIGN.md / EXPERIMENTS.md), times it via
+(tables E01-E11 as defined in EXPERIMENTS.md), times it via
 pytest-benchmark, prints the regenerated table, and writes it under
 ``benchmarks/results/`` so the harness output is preserved verbatim.
 """

@@ -13,7 +13,8 @@
 # report artifact, and a live router run streaming rolling tail
 # panels), the sweep service (repro.serve: start the daemon, submit a
 # 3-cell grid, fetch the tables, shut down cleanly, all within a 30s
-# budget), the docs step (module doctests + markdown link check), and
+# budget), the docs step (module doctests, markdown link check, and no
+# dangling .md references from src/ or benchmarks/), and
 # the engine/analysis benchmarks (bench_analysis records
 # BENCH_analysis.json, bench_sim BENCH_sim.json with its >= 5x
 # at-scale speedup floor, bench_viz BENCH_viz.json with its rendering
@@ -193,23 +194,38 @@ echo "== docs: module doctests + markdown link check =="
 # repro.sweep.spec).
 python -m doctest src/repro/topology/base.py src/repro/topology/generators.py \
     src/repro/topology/dynamic.py src/repro/sweep/spec.py
-# Relative markdown links in README.md and docs/ARCHITECTURE.md must
-# point at files that exist.
+# Relative markdown links in README.md, docs/ARCHITECTURE.md and
+# EXPERIMENTS.md must point at files that exist, and so must the .md
+# files that code and benchmarks name (a docstring citing a document
+# that is not in the tree is a dangling reference).
 python - <<'PY'
 import re, sys
 from pathlib import Path
 
 bad = []
-for doc in (Path("README.md"), Path("docs/ARCHITECTURE.md")):
+for doc in (Path("README.md"), Path("docs/ARCHITECTURE.md"), Path("EXPERIMENTS.md")):
     for target in re.findall(r"\]\(([^)#]+)(?:#[^)]*)?\)", doc.read_text()):
         if "://" in target:
             continue
         if not (doc.parent / target).exists():
             bad.append(f"{doc}: {target}")
+for root in (Path("src"), Path("benchmarks")):
+    for path in sorted(root.rglob("*")):
+        if not path.is_file() or "__pycache__" in path.parts:
+            continue
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError:
+            continue
+        for name in set(re.findall(r"[\w./-]+\.md\b", text)):
+            if "://" in name:
+                continue
+            if not (Path(name).exists() or (path.parent / name).exists()):
+                bad.append(f"{path}: names missing {name}")
 if bad:
-    print("broken markdown links:\n  " + "\n  ".join(bad), file=sys.stderr)
+    print("broken markdown references:\n  " + "\n  ".join(bad), file=sys.stderr)
     sys.exit(1)
-print("markdown links ok")
+print("markdown links and references ok")
 PY
 
 echo

@@ -64,8 +64,9 @@ def run(scale: Scale = "quick", *, rho: float = 0.5, seed: int = 0) -> Experimen
         paper_artifact="Section 5, item 1 (folklore bound, proof sketch)",
         tables=[table],
         notes=[
-            "Realized via one-sided Add Skew on the line 0..d (DESIGN.md "
-            "documents the substitution for the shift argument).",
+            "Realized via one-sided Add Skew on the line 0..d (EXPERIMENTS.md, "
+            "'Deviations from the proof', documents the substitution for "
+            "the shift argument).",
         ],
         data={
             "series": series,

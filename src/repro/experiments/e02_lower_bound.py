@@ -104,7 +104,8 @@ def run(scale: Scale = "quick", *, rho: float = 0.5, seed: int = 0) -> Experimen
         tables=[table, rounds_table],
         notes=[
             "Shrink factor B=4 replaces the proof's 384*tau*f(1) "
-            "(asymptotics unchanged; DESIGN.md).",
+            "(asymptotics unchanged; EXPERIMENTS.md, 'Deviations from the "
+            "proof').",
             "Growth with D, not absolute values, is the reproduced claim.",
             "adjacent skew over the detailed run: "
             + sparkline(adjacent_series),

@@ -94,7 +94,7 @@ def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> Experimen
         tables=[table],
         notes=[
             "The RBS cluster deliberately relaxes the min-distance "
-            "normalization (DESIGN.md, substitutions).",
+            "normalization (EXPERIMENTS.md, 'Deviations from the proof').",
         ],
         data={"cluster_skew": cluster_skew, "line_skew": line_skew, "eps": eps},
     )

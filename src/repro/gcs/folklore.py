@@ -19,7 +19,8 @@ The drift-free *shift* version of the folklore argument (delays swapped
 between two executions, one node's timeline translated) needs clocks
 with nonzero initial offsets, which the paper's model (all clocks start
 at 0, Section 3) does not provide; the drift-based Add Skew route is the
-model-faithful equivalent.  DESIGN.md records this substitution.
+model-faithful equivalent.  EXPERIMENTS.md ("Deviations from the proof")
+records this substitution.
 """
 
 from __future__ import annotations

@@ -18,10 +18,24 @@ After ``k = Theta(log D / log log D)`` rounds, an *adjacent* pair holds
 ``k / 24`` skew.
 
 This driver performs the construction against a concrete algorithm by
-re-running the deterministic simulator from time 0 each round under the
-edited schedule — the executable counterpart of "indistinguishable
-execution exists".  Differences from the proof text, all documented in
-DESIGN.md:
+running the deterministic simulator under each round's edited schedule
+— the executable counterpart of "indistinguishable execution exists".
+A round's edits (Add Skew's rate knees and warped delays) all start at
+its window start ``S``, so the edited run shares the previous run's
+prefix exactly.  The driver therefore resumes each round from a fork of
+the previous round's run (:class:`~repro.sim.engine.EngineCheckpoint`)
+taken at ``S - tau``, instead of simulating that prefix again from time
+0.  The fork is valid when every event queued at it — in-flight
+messages, pending timers — is due before ``S``: then no in-flight
+message is warped and no timer moves.  Gossip periods shorter than
+``tau`` always satisfy this.  When a longer period breaks it, the round
+resumes from an earlier fork, still valid because every later schedule
+agrees with it before ``S``; ``alpha_0`` and round 0 run from time 0.
+The simulator refuses any resume that is not exact, so the transcript
+is the from-zero construction's, byte for byte.
+
+Differences from the proof text, all listed in EXPERIMENTS.md,
+"Deviations from the proof":
 
 * the proof's shrink factor ``B = 384 tau f(1)`` uses the unknown
   gradient bound ``f(1)``; the driver takes ``B`` as a parameter
@@ -42,6 +56,7 @@ from repro.errors import ConstructionError
 from repro.gcs.add_skew import AddSkewPlan, apply_add_skew, verify_add_skew_claims
 from repro.gcs.indistinguishability import assert_indistinguishable_prefix
 from repro.gcs.schedule import AdversarySchedule
+from repro.sim.engine import EngineCheckpoint
 from repro.sim.execution import Execution
 from repro.topology.base import Topology
 from repro.topology.generators import line
@@ -171,12 +186,18 @@ class LowerBoundAdversary:
     ) -> LowerBoundResult:
         """Execute the full construction; returns the transcript.
 
+        Rounds after the first resume from a checkpoint of the previous
+        round's run, forked at the next window start minus ``tau`` (see
+        the module docstring); the transcript equals the from-zero one.
+
         With ``verify=True`` every round additionally runs the bare
-        ``beta`` schedule (duration ``T'``) and asserts Lemma 6.1's
-        claims against the previous round's execution — Claim 6.2
+        ``beta`` schedule (duration ``T'``) from t = 0 and asserts Lemma
+        6.1's claims against the previous round's execution — Claim 6.2
         (indistinguishability), 6.3/6.4 (rate and delay bands), 6.5
-        (skew gain) — roughly doubling the construction's cost.  The
-        test suite exercises it; experiments run unverified.
+        (skew gain).  ``beta`` deliberately does not resume from
+        ``alpha``'s checkpoint: sharing ``alpha``'s prefix would make
+        Claim 6.2 true by construction instead of checking it.  The test
+        suite exercises it; experiments run unverified.
         """
         tau = tau_of(self.rho)
         n0 = self.diameter
@@ -184,6 +205,7 @@ class LowerBoundAdversary:
         execution = schedule.run(
             self.topology, algorithm, rho=self.rho, seed=self.seed
         )
+        checkpoint: EngineCheckpoint | None = None
 
         lo, hi, span = 0, n0, n0
         rounds: list[RoundRecord] = []
@@ -211,9 +233,20 @@ class LowerBoundAdversary:
             pad = plan.straggler_horizon - plan.beta_end
             extension = next_span * tau + pad + 1e-6
             schedule = beta_schedule.extended(extension)
+            # The next round's window start; the fork is taken tau before
+            # it, so every message sent by then has arrived by it.
+            next_start = schedule.duration - tau * next_span
             execution = schedule.run(
-                self.topology, algorithm, rho=self.rho, seed=self.seed
+                self.topology,
+                algorithm,
+                rho=self.rho,
+                seed=self.seed,
+                resume=checkpoint,
+                checkpoint_at=next_start - tau if span > 1 else None,
             )
+            fork, execution.checkpoint = execution.checkpoint, None
+            if fork is not None and fork.horizon < next_start:
+                checkpoint = fork
 
             end = execution.duration
             skew_after = execution.skew(lo, hi, end)

@@ -50,7 +50,7 @@ from typing import Mapping
 from repro._constants import TIME_EPS
 from repro.errors import ScheduleError
 from repro.gcs.warps import TimeWarp
-from repro.sim.messages import DelayPolicy
+from repro.sim.messages import DelayPolicy, delays_agree
 
 __all__ = ["WarpedDelayOracle"]
 
@@ -117,3 +117,22 @@ class WarpedDelayOracle:
         # alpha itself never received it (sent within d/2 of the end);
         # quiet delay, provably arriving after beta_end.
         return half
+
+    def agrees_before(
+        self, other: DelayPolicy, send_time: float, distance: float
+    ) -> bool:
+        """Whether this oracle assigns ``other``'s delay to every message
+        sent at or before ``send_time`` over at most ``distance``.
+
+        Such a send precedes every knee, so its alpha receive is
+        ``send_time + distance / 2`` at the latest; at or before the
+        window start the oracle defers to ``base`` (step 3), and the
+        question passes down the stack.  This is what lets a resumed run
+        (:class:`~repro.sim.engine.EngineCheckpoint`) keep the delays of
+        the messages it inherits.
+        """
+        if self is other:
+            return True
+        if send_time + distance / 2.0 > self.window_start + TIME_EPS:
+            return False
+        return delays_agree(self.base, other, send_time, distance)

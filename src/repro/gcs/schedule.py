@@ -13,14 +13,15 @@ artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Optional
 
 from repro.algorithms.base import SyncAlgorithm
 from repro.errors import ScheduleError
+from repro.sim.engine import EngineCheckpoint
 from repro.sim.execution import Execution
 from repro.sim.messages import DelayPolicy, HalfDistanceDelay
 from repro.sim.rates import PiecewiseConstantRate
-from repro.sim.simulator import SimConfig, run_simulation
+from repro.sim.simulator import SimConfig, Simulator
 from repro.topology.base import Topology
 
 __all__ = ["AdversarySchedule"]
@@ -95,23 +96,36 @@ class AdversarySchedule:
         rho: float,
         seed: int = 0,
         record_trace: bool = True,
+        resume: Optional[EngineCheckpoint] = None,
+        checkpoint_at: Optional[float] = None,
     ) -> Execution:
         """Run ``algorithm`` under this schedule and return the execution.
 
         A fresh set of processes is instantiated every run (process
         objects hold state), so re-running a schedule is always
         reproducible.
+
+        ``resume`` continues a checkpoint taken while running ``algorithm``
+        under an earlier schedule instead of starting at t = 0 (the
+        processes are the checkpoint's).  The result is identical to the
+        from-zero run provided this schedule agrees with that one before
+        the checkpoint's last queued event; otherwise the simulator
+        raises :class:`~repro.errors.SimulationError`.  ``checkpoint_at``
+        forks the run's paused state at that real time onto
+        ``execution.checkpoint`` for a later resume.
         """
         config = SimConfig(
             duration=self.duration, rho=rho, seed=seed, record_trace=record_trace
         )
-        return run_simulation(
+        sim = Simulator(
             topology,
-            algorithm.processes(topology),
+            None if resume is not None else algorithm.processes(topology),
             config,
             rate_schedules=self.rates,
             delay_policy=self.delay_oracle,
+            resume=resume,
         )
+        return sim.run(checkpoint_at=checkpoint_at)
 
     # ------------------------------------------------------------------
     # checks used by lemma preconditions

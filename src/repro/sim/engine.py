@@ -49,6 +49,8 @@ fault plan that draws per send simply keeps the per-send path.
 
 from __future__ import annotations
 
+import pickle
+from bisect import bisect_right
 from typing import Any
 
 import numpy as np
@@ -58,7 +60,7 @@ from repro.errors import SimulationError, ValidityError
 from repro.sim.clock import LogicalClock
 from repro.sim.events import BatchEventQueue, CrashNode
 from repro.sim.execution import Execution
-from repro.sim.messages import Message, validate_delay
+from repro.sim.messages import Message, delays_agree, validate_delay
 from repro.sim.node import NodeAPI
 from repro.sim.trace import (
     CRASH,
@@ -73,7 +75,7 @@ from repro.sim.trace import (
     TOPOLOGY,
 )
 
-__all__ = ["BatchedEngine"]
+__all__ = ["BatchedEngine", "EngineCheckpoint"]
 
 #: Event kind codes inside the batched queue.  The two hot kinds are
 #: encoded as bare ints instead of ``(KIND, ...fields)`` tuples: a
@@ -386,6 +388,189 @@ class _FastNodeAPI(NodeAPI):
             queue._pend_min = fire_at
 
 
+def _rates_agree(old, new, horizon: float) -> bool:
+    """Whether two rate schedules have the same pieces on ``[0, horizon]``.
+
+    Same breakpoints at or before ``horizon``, same rates from them:
+    then every reading and inversion up to ``horizon`` is the same
+    float expression over the same floats, so bitwise equal.
+    """
+    if old is new:
+        return True
+    m = bisect_right(old.starts, horizon)
+    if bisect_right(new.starts, horizon) != m:
+        return False
+    same = old.starts[:m] == new.starts[:m]  # repro: allow[FLT001] bitwise
+    return same and old.rates[:m] == new.rates[:m]
+
+
+def _check_forkable(run, role: str) -> None:
+    """Refuse run state a checkpoint does not carry; ``run`` is a
+    :class:`~repro.sim.simulator.Simulator` or a :class:`BatchedEngine`."""
+    if run._faults is not None:
+        raise SimulationError(f"{role} cannot carry a fault plan")
+    if run._dynamic is not None:
+        raise SimulationError(f"{role} cannot follow a changing DynamicTopology")
+    if hasattr(run.delay_policy, "bind_run"):
+        raise SimulationError(
+            f"{role} cannot use a delay policy with per-run state (bind_run)"
+        )
+
+
+class EngineCheckpoint:
+    """A paused batched run, forked so that both copies can drain on.
+
+    Taken by :meth:`BatchedEngine.run` at real time :attr:`at`: every
+    event due at or before ``at`` has been handled, nothing later has.
+    The fork holds private copies of the run's mutable state — the
+    queue's remaining spine and pending batch, the process objects
+    (pickled, so they must pickle), the node and delay RNG states, the
+    logical-clock segments and cursor positions, the message counter
+    and the fast-timer name.  The trace rows and message rows are
+    append-only lists of immutable tuples, so they are copied shallowly.
+    A checkpoint is never consumed: every resume forks it again.
+
+    ``Simulator(..., resume=checkpoint)`` drains a fresh engine on from
+    this state under a *new* schedule.  The result is the execution a
+    from-zero run of the new schedule produces, provided the new
+    schedule agrees with the old one on everything the paused state
+    already depends on:
+
+    * every node's rate schedule has the same pieces on
+      ``[0, horizon]``, where :attr:`horizon` is the latest queued
+      event's time (at least ``at``) — the clock readings already taken
+      and the timer fire times already queued stay valid;
+    * the delay policy assigns the old delay to every message already
+      sent (:func:`~repro.sim.messages.delays_agree`, at the latest send
+      time and the largest distance a message crossed).
+
+    :meth:`check_resumable` enforces both, and refuses fault plans,
+    non-static dynamic topologies, delay policies with per-run state
+    (``bind_run``) and a changed topology, ``rho``, seed or trace
+    setting, with a :class:`~repro.errors.SimulationError` each.
+    """
+
+    def __init__(self, engine: "BatchedEngine", at: float):
+        queue = engine._queue
+        cursor = queue._cursor
+        #: The pause time: events due at or before it have been handled.
+        self.at = at
+        self.topology = engine.topology
+        self.config = engine.config
+        self.schedules = {n: hw.schedule for n, hw in engine._hardware.items()}
+        self.delay_policy = engine.delay_policy
+        self._now = engine.now
+        self._spine = (
+            queue._spine_times[cursor:],
+            queue._spine_events[cursor:],
+        )
+        self._pending = (list(queue._pend_times), list(queue._pend_events))
+        #: The latest queued event's time, at least :attr:`at`: the new
+        #: schedule must agree with the old one up to here.
+        self.horizon = max([at, *self._spine[0][-1:], *self._pending[0]])
+        # Processes are forked by pickling: one C-level round trip is
+        # several times cheaper than a deepcopy of the same objects.
+        try:
+            self._processes = pickle.dumps(
+                engine._processes, pickle.HIGHEST_PROTOCOL
+            )
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SimulationError(
+                f"checkpointed processes must pickle: {exc}"
+            ) from exc
+        self._clocks = {
+            node: (
+                list(lc._times),
+                list(lc._values),
+                list(lc._mults),
+                lc._total_jump,
+                lc._h_seg,
+                lc._cursor.k,
+            )
+            for node, lc in engine._logical.items()
+        }
+        self._rng_states = {n: api.rng.getstate() for n, api in engine._api.items()}
+        self._delay_rng_state = engine._delay_rng.getstate()
+        self._msgs = list(engine._msgs)
+        self._rows = None if engine._rows is None else list(engine._rows)
+        self._msg_counter = engine._msg_counter
+        self._fast_timer_name = engine._fast_timer_name
+
+    def check_resumable(self, sim) -> None:
+        """Raise :class:`SimulationError` unless ``sim`` (a
+        :class:`~repro.sim.simulator.Simulator` built with
+        ``resume=self``) can continue from this checkpoint exactly."""
+        _check_forkable(sim, "a resumed run")
+        topology = sim.topology
+        if topology is not self.topology and not (
+            topology.nodes == self.topology.nodes
+            and topology.comm_edges == self.topology.comm_edges
+            and np.array_equal(topology.distances, self.topology.distances)
+        ):
+            raise SimulationError("a resumed run must keep the checkpoint's topology")
+        old, new = self.config, sim.config
+        if (old.rho, old.seed, old.record_trace) != (
+            new.rho,
+            new.seed,
+            new.record_trace,
+        ):
+            raise SimulationError(
+                "a resumed run must keep the checkpoint's rho, seed and "
+                "record_trace"
+            )
+        if new.duration <= self.at:
+            raise SimulationError(
+                f"resumed duration {new.duration} does not pass the "
+                f"checkpoint time {self.at}"
+            )
+        for node, schedule in self.schedules.items():
+            if not _rates_agree(schedule, sim._hardware[node].schedule, self.horizon):
+                raise SimulationError(
+                    f"node {node}'s rate schedule differs from the "
+                    f"checkpoint's before its last queued event "
+                    f"(t = {self.horizon})"
+                )
+        dist = sim.topology.distance_rows()
+        max_distance = max((dist[m[1]][m[2]] for m in self._msgs), default=0.0)
+        if not delays_agree(
+            sim.delay_policy, self.delay_policy, self._now, max_distance
+        ):
+            raise SimulationError(
+                "the delay policy differs from the checkpoint's for "
+                f"messages already sent (by t = {self._now})"
+            )
+
+    def _restore(self, engine: "BatchedEngine") -> None:
+        """Fork this state into ``engine``, freshly built on the new
+        schedule: its cursors and broadcast caches start clean, its
+        node APIs keep their references to the queue lists (filled in
+        place)."""
+        engine.now = self._now
+        queue = engine._queue
+        queue._spine_times.extend(self._spine[0])
+        queue._spine_events.extend(self._spine[1])
+        queue._pend_times.extend(self._pending[0])
+        queue._pend_events.extend(self._pending[1])
+        queue._pend_min = min(self._pending[0], default=float("inf"))
+        queue._last_popped = self._now
+        engine._processes = pickle.loads(self._processes)
+        for node, lc in engine._logical.items():
+            times, values, mults, total_jump, h_seg, k = self._clocks[node]
+            lc._times = list(times)
+            lc._values = list(values)
+            lc._mults = list(mults)
+            lc._total_jump = total_jump
+            lc._h_seg = h_seg
+            lc._cursor.k = min(k, lc._cursor.n - 1)
+        for node, api in engine._api.items():
+            api.rng.setstate(self._rng_states[node])
+        engine._delay_rng.setstate(self._delay_rng_state)
+        engine._msgs = list(self._msgs)
+        engine._rows = None if self._rows is None else list(self._rows)
+        engine._msg_counter = self._msg_counter
+        engine._fast_timer_name = self._fast_timer_name
+
+
 class BatchedEngine:
     """One batched execution, built from a prepared :class:`Simulator`.
 
@@ -397,7 +582,7 @@ class BatchedEngine:
     :class:`~repro.sim.events.BatchEventQueue`.
     """
 
-    def __init__(self, sim):
+    def __init__(self, sim, checkpoint_at: float | None = None):
         self.config = sim.config
         self.topology = sim.topology
         self.delay_policy = sim.delay_policy
@@ -448,6 +633,22 @@ class BatchedEngine:
             else getattr(self.delay_policy, "broadcast_delays", None)
         )
         self._bcast_cache: dict[int, list[tuple[int, float]]] = {}
+
+        #: The checkpoint this run continues from (``None``: from t = 0).
+        #: Its state is forked into this engine's fresh clocks, queue and
+        #: APIs, which were built on the *new* schedule above.
+        self._resume = sim._resume
+        if self._resume is not None:
+            self._resume._restore(self)
+        if checkpoint_at is not None:
+            start = 0.0 if self._resume is None else self._resume.at
+            if not start <= checkpoint_at < self.config.duration:
+                raise SimulationError(
+                    f"checkpoint time {checkpoint_at} outside "
+                    f"[{start}, {self.config.duration})"
+                )
+            _check_forkable(self, "a checkpointed run")
+        self._checkpoint_at = checkpoint_at
 
     # ------------------------------------------------------------------
     # services used by the node API (mirror Simulator's surface)
@@ -592,6 +793,27 @@ class BatchedEngine:
     # the event loop
 
     def run(self) -> Execution:
+        """Drain to the configured duration and return the execution.
+
+        A fresh run starts at t = 0; a resumed one (``sim._resume``)
+        continues from its checkpoint's paused state.  With
+        ``checkpoint_at`` set, the drain first stops after the last
+        event due at or before that time, the paused state is forked
+        into an :class:`EngineCheckpoint` (attached to the returned
+        execution), and the drain carries on to the end.
+        """
+        if self._resume is None:
+            self._start()
+        checkpoint = None
+        if self._checkpoint_at is not None:
+            self._drain(self._checkpoint_at)
+            checkpoint = EngineCheckpoint(self, self._checkpoint_at)
+        self._drain(self.config.duration + TIME_EPS)
+        self.now = self.config.duration
+        return self._build_execution(checkpoint)
+
+    def _start(self) -> None:
+        """Schedule the control events and run every ``on_start`` (t = 0)."""
         duration = self.config.duration
         queue = self._queue
 
@@ -618,6 +840,17 @@ class BatchedEngine:
                 continue
             self._processes[node].on_start(self._api[node])
 
+    def _drain(self, limit: float) -> None:
+        """Handle every queued event due at or before ``limit``.
+
+        Stops in a consistent state (queue cursor written back), so a
+        second call with a later limit continues exactly where this one
+        stopped: a run paused at ``C`` and drained on is the same event
+        sequence as one uninterrupted drain.
+        """
+        queue = self._queue
+        rows = self._rows
+
         # The drain loop — ``BatchEventQueue.pop_due`` unrolled against
         # the queue's internals, with the two hot event kinds
         # (deliveries and timer firings) handled inline: the per-event
@@ -627,7 +860,6 @@ class BatchedEngine:
         # expanded with the hardware reading shared between the row's
         # ``hardware`` and ``logical`` fields — bitwise the value the
         # scalar engine computes twice over.
-        limit = duration + TIME_EPS
         faults = self._faults
         processes = self._processes
         apis = self._api
@@ -643,7 +875,6 @@ class BatchedEngine:
         spine_events = queue._spine_events
         k = queue._cursor
         n_spine = len(spine_times)
-        time = 0.0
         if rows is None and faults is None:
             # The at-scale configuration (no trace, no fault plan) gets
             # its own copy of the loop with the per-event ``rows``/
@@ -687,9 +918,8 @@ class BatchedEngine:
                 else:  # pragma: no cover - queue only ever holds these
                     raise SimulationError(f"unknown event kind {kind!r}")
             queue._cursor = k
-            queue._last_popped = time
-            self.now = duration
-            return self._build_execution()
+            queue._last_popped = self.now
+            return
         while True:
             if pend_times and (k >= n_spine or queue._pend_min < spine_times[k]):
                 queue._cursor = k
@@ -781,9 +1011,7 @@ class BatchedEngine:
             else:  # pragma: no cover - queue only ever holds these kinds
                 raise SimulationError(f"unknown event kind {kind!r}")
         queue._cursor = k
-        queue._last_popped = time
-        self.now = duration
-        return self._build_execution()
+        queue._last_popped = self.now
 
     # ------------------------------------------------------------------
     # cold event handlers (identical observable semantics to Simulator's)
@@ -823,7 +1051,7 @@ class BatchedEngine:
 
     # ------------------------------------------------------------------
 
-    def _build_execution(self) -> Execution:
+    def _build_execution(self, checkpoint=None) -> Execution:
         # The node APIs point back at the engine; dropping them breaks
         # that cycle, so refcounting frees the run's working state
         # (queue, message rows, distance rows) as soon as the caller
@@ -867,4 +1095,5 @@ class BatchedEngine:
             topology_timeline=(
                 None if self._dynamic is None else tuple(self._topology_timeline)
             ),
+            checkpoint=checkpoint,
         )

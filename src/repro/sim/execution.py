@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from repro.sim.clock import HardwareClock, LogicalClock
 from repro.sim.messages import Message
 from repro.sim.trace import ExecutionTrace
 from repro.topology.base import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.engine import EngineCheckpoint
 
 __all__ = ["Execution"]
 
@@ -59,6 +62,11 @@ class Execution:
     #: wire-level losses (malformed or misdirected datagrams), distinct
     #: from the *injected* losses counted in :attr:`fault_stats`.
     live_stats: dict | None = None
+    #: The run's paused state forked at the ``checkpoint_at`` time handed
+    #: to :meth:`~repro.sim.simulator.Simulator.run` (a
+    #: :class:`~repro.sim.engine.EngineCheckpoint`), from which a later
+    #: run under an agreeing schedule can continue; ``None`` otherwise.
+    checkpoint: EngineCheckpoint | None = None
 
     # ------------------------------------------------------------------
     # topology queries

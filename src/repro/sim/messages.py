@@ -28,6 +28,7 @@ __all__ = [
     "PerPairDelay",
     "JitterDelay",
     "SequenceDelay",
+    "delays_agree",
     "validate_delay",
 ]
 
@@ -72,6 +73,28 @@ class DelayPolicy(Protocol):
     ) -> float:
         """Return the message delay in real-time units."""
         ...
+
+
+def delays_agree(
+    policy: DelayPolicy, other: DelayPolicy, send_time: float, distance: float
+) -> bool:
+    """Whether ``policy`` assigns ``other``'s delay to every message sent
+    at or before ``send_time`` over a distance of at most ``distance``.
+
+    The same policy, or an equal one, agrees everywhere (random policies
+    draw from the run's delay RNG, not from themselves).  A policy that
+    wraps another declares how far it defers to it through an
+    ``agrees_before(other, send_time, distance)`` method (see
+    :class:`~repro.gcs.oracle.WarpedDelayOracle`); any other pair is
+    taken to differ.  A resumed run (:class:`~repro.sim.engine.EngineCheckpoint`)
+    relies on this to know the messages it inherits keep their delays.
+    """
+    if policy is other:
+        return True
+    hook = getattr(policy, "agrees_before", None)
+    if hook is not None:
+        return hook(other, send_time, distance)
+    return policy == other
 
 
 def validate_delay(delay: float, distance: float, *, tol: float = 1e-9) -> float:

@@ -12,7 +12,12 @@ plan, seed, duration), two runs produce identical traces.  Consequently,
 re-running under a *warped* schedule reproduces exactly the retimed
 execution that the paper's indistinguishability arguments construct on
 paper — this is the mechanism behind :mod:`repro.gcs.add_skew` and
-:mod:`repro.gcs.lower_bound`.  An empty (or absent) fault plan builds no
+:mod:`repro.gcs.lower_bound`.  A run can also fork its paused state at
+a real time (:class:`~repro.sim.engine.EngineCheckpoint`); a later run
+whose schedule agrees with it up to the fork's last queued event
+resumes from there and produces the same execution as from t = 0,
+which is how the lower-bound adversary skips each round's shared
+prefix.  An empty (or absent) fault plan builds no
 fault machinery at all, so fault-free runs stay byte-identical to what
 the simulator produced before faults existed; likewise a
 :class:`~repro.topology.dynamic.DynamicTopology` with no change-points
@@ -34,7 +39,7 @@ from typing import Mapping, Optional
 from repro._constants import DEFAULT_RHO, TIME_EPS
 from repro.errors import SimulationError
 from repro.sim.clock import HardwareClock, LogicalClock
-from repro.sim.engine import BatchedEngine
+from repro.sim.engine import BatchedEngine, EngineCheckpoint
 from repro.sim.events import (
     CrashNode,
     DeliverMessage,
@@ -98,13 +103,20 @@ class Simulator:
     def __init__(
         self,
         topology: Topology | DynamicTopology,
-        processes: Mapping[int, Process],
+        processes: Optional[Mapping[int, Process]],
         config: SimConfig,
         *,
         rate_schedules: Optional[Mapping[int, PiecewiseConstantRate]] = None,
         delay_policy: Optional[DelayPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
+        resume: Optional[EngineCheckpoint] = None,
     ):
+        """``resume`` continues a paused run (see
+        :class:`~repro.sim.engine.EngineCheckpoint`) under these
+        schedules instead of starting at t = 0; the processes then come
+        from the checkpoint, so ``processes`` must be ``None``.  Raises
+        :class:`SimulationError` if the checkpoint's state is not valid
+        under the new schedule."""
         # A DynamicTopology with no change-points is free: nothing is
         # scheduled, and the run stays byte-identical to the same run on
         # the plain static topology (the mobility mirror of the empty
@@ -116,18 +128,27 @@ class Simulator:
             topology = topology.initial
         else:
             self._dynamic = None
-        if set(processes) != set(topology.nodes):
-            raise SimulationError("processes must cover exactly the topology's nodes")
+        if resume is None:
+            if processes is None or set(processes) != set(topology.nodes):
+                raise SimulationError(
+                    "processes must cover exactly the topology's nodes"
+                )
+        elif processes is not None:
+            raise SimulationError(
+                "a resumed run continues the checkpoint's processes; "
+                "pass processes=None"
+            )
         if config.duration <= 0:
             raise SimulationError("duration must be positive")
         self.topology = topology
         self.config = config
         self.delay_policy: DelayPolicy = delay_policy or HalfDistanceDelay()
-        self._processes = dict(processes)
+        self._processes = dict(processes or {})
         self._finished = False
+        self._resume = resume
         self._delay_rng = random.Random(config.seed ^ 0x5EED)
         bind_run = getattr(self.delay_policy, "bind_run", None)
-        if bind_run is not None:
+        if bind_run is not None and resume is None:
             bind_run(config.seed)
 
         schedules = dict(rate_schedules or {})
@@ -154,6 +175,8 @@ class Simulator:
         self._faults: Optional[FaultController] = (
             None if plan.is_empty() else FaultController(plan, topology, config.seed)
         )
+        if resume is not None:
+            resume.check_resumable(self)
 
     # ------------------------------------------------------------------
     # services used by NodeAPI
@@ -223,15 +246,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # the event loop
 
-    def run(self) -> Execution:
+    def run(self, *, checkpoint_at: Optional[float] = None) -> Execution:
         """Execute until ``config.duration`` and return the finished execution.
 
         Hands the validated setup (clocks, fault controller, RNGs,
         processes — all still untouched) to the
-        :class:`~repro.sim.engine.BatchedEngine`.
+        :class:`~repro.sim.engine.BatchedEngine`.  With
+        ``checkpoint_at``, the run also forks its paused state at that
+        real time onto ``execution.checkpoint``, for a later
+        ``Simulator(..., resume=...)``; the execution itself is
+        unchanged.
         """
         self._claim_run()
-        return BatchedEngine(self).run()
+        return BatchedEngine(self, checkpoint_at).run()
 
     def _claim_run(self) -> None:
         if self._finished:
@@ -246,6 +273,8 @@ class Simulator:
         (``tests/test_engine_equivalence.py``) holds :meth:`run` to
         byte identity with this loop; nothing in production calls it.
         """
+        if self._resume is not None:
+            raise SimulationError("the reference loop always runs from t = 0")
         self._claim_run()
         self._topology_timeline = [(0.0, self.topology)]
         self._queue = EventQueue()
