@@ -12,9 +12,10 @@
 # (repro.viz: a headless dashboard + mobility animation, the sweep
 # report artifact, and a live router run streaming rolling tail
 # panels), the sweep service (repro.serve: start the daemon, submit a
-# 3-cell grid, fetch the tables, shut down cleanly, all within a 30s
-# budget), the docs step (module doctests, markdown link check, and no
-# dangling .md references from src/ or benchmarks/), and
+# 3-cell grid, fetch the tables, resubmit it with nothing queued, shut
+# down cleanly, all within a 30s budget), the docs step (module
+# doctests, markdown link check, and no dangling .md references from
+# src/ or benchmarks/), and
 # the engine/analysis benchmarks (bench_analysis records
 # BENCH_analysis.json, bench_sim BENCH_sim.json with its >= 5x
 # at-scale speedup floor, bench_viz BENCH_viz.json with its rendering
@@ -164,7 +165,8 @@ echo
 echo "== sweep as a service (repro.serve) =="
 # Full daemon lifecycle inside one 30s budget: start against a fresh
 # store, submit a 3-cell grid through the experiments verb, block until
-# it settles, fetch the rendered tables, query status, stop cleanly.
+# it settles, fetch the rendered tables, resubmit the same grid (a known
+# sweep: it must queue nothing), query status, stop cleanly.
 timeout 30 bash -c '
     set -euo pipefail
     STORE="$ARTIFACTS/serve_store"
@@ -179,6 +181,10 @@ timeout 30 bash -c '
     python -m repro.experiments serve fetch --store "$STORE" "$SWEEP" \
         > "$ARTIFACTS/serve_fetch.txt"
     grep -q "max_skew" "$ARTIFACTS/serve_fetch.txt"
+    python -m repro.experiments serve submit --store "$STORE" \
+        --topologies line:5 --algorithms max-based --rates drifted \
+        --seeds 3 --duration 8 --name ci > "$ARTIFACTS/serve_resubmit.txt"
+    grep -qF ", 0 queued)" "$ARTIFACTS/serve_resubmit.txt"
     python -m repro.experiments serve status --store "$STORE" "$SWEEP" \
         | grep -q "3/3 done"
     python -m repro.experiments serve stop --store "$STORE"

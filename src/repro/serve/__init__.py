@@ -24,7 +24,7 @@ the ``serve`` verb of ``python -m repro.experiments``, and
 :class:`ServeClient` in code.
 """
 
-from repro.serve.client import ServeClient, endpoint_from_store
+from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
 from repro.serve.jobqueue import JobQueue, SweepBook
 from repro.serve.protocol import (
@@ -45,7 +45,6 @@ __all__ = [
     "ServeClient",
     "ServeDaemon",
     "SweepBook",
-    "endpoint_from_store",
     "recv_frame",
     "send_frame",
     "sweep_id_for",

@@ -73,12 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _counts_line(sweep: str, name: str, counts: dict) -> str:
-    line = (
+    return (
         f"sweep {sweep} '{name}': {counts['done']}/{counts['total']} done, "
         f"{counts['running']} running, {counts['queued']} queued, "
         f"{counts['failed']} failed"
     )
-    return line
 
 
 def _cmd_start(args: argparse.Namespace) -> int:

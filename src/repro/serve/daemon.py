@@ -42,12 +42,13 @@ import selectors
 import socket
 import time
 import traceback
-from typing import Optional
+from itertools import repeat
+from typing import Iterable, Optional
 
 from repro.errors import ServeError, SweepError
 from repro.serve.jobqueue import JobQueue, SweepBook
 from repro.serve.protocol import PROTOCOL_VERSION, FrameBuffer, send_frame
-from repro.serve.store import ContentStore, hashes_for
+from repro.serve.store import ContentStore, hashes_for, sweep_id_for
 from repro.sweep.jobs import Job, execute_job
 from repro.sweep.spec import SweepSpec
 
@@ -138,7 +139,8 @@ class ServeDaemon:
         self._listener: Optional[socket.socket] = None
         self._selector = selectors.DefaultSelector()
         self._clients: dict[socket.socket, FrameBuffer] = {}
-        self._waiters: list[tuple[socket.socket, str]] = []
+        # (client, sweep id, cursor: index of its first unsettled cell)
+        self._waiters: list[tuple[socket.socket, str, int]] = []
         self._started_at = 0.0
         self._stop = False
 
@@ -173,15 +175,23 @@ class ServeDaemon:
                 jobs = spec.jobs()
             except SweepError:
                 continue
-            hashes = hashes_for(jobs)
-            self.book.register(
-                manifest["sweep"], spec.name, hashes, manifest["spec"]
-            )
-            for digest, job in zip(hashes, jobs):
-                self.queue.offer(digest, job)
+            self._admit(manifest["sweep"], spec, hashes_for(jobs), jobs)
         # Cells found already on disk during the scan are the resumed
         # ones; later submissions' hits are ordinary cache hits.
         self.resumed = self.queue.hits
+
+    def _admit(
+        self, sweep_id: str, spec: SweepSpec, hashes: list, jobs: Iterable
+    ) -> dict:
+        """Register a sweep and offer its cells: the one admission path
+        of resume and submit.  Returns the tally of offer dispositions."""
+        self.book.register(
+            sweep_id, spec.name, hashes, json.loads(spec.to_json())
+        )
+        tally = {"hit": 0, "dedup": 0, "queued": 0, "done": 0, "failed": 0}
+        for digest, job in zip(hashes, jobs):
+            tally[self.queue.offer(digest, job)] += 1
+        return tally
 
     def _spawn_worker(self, worker: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -347,7 +357,7 @@ class ServeDaemon:
         except KeyError:
             pass
         self._clients.pop(sock, None)
-        self._waiters = [(s, sid) for s, sid in self._waiters if s is not sock]
+        self._waiters = [w for w in self._waiters if w[0] is not sock]
         sock.close()
 
     def _on_client_readable(self, sock: socket.socket) -> None:
@@ -421,7 +431,10 @@ class ServeDaemon:
             return {"ok": False, "error": "submit needs a 'spec' object"}
         try:
             spec = SweepSpec.from_dict(payload)
-            jobs = spec.jobs()
+            sweep_id = sweep_id_for(spec)
+            manifest = self.store.manifest_path(sweep_id)
+            known = self.book.known(sweep_id) and manifest.exists()
+            jobs = repeat(None) if known else spec.jobs()
         except SweepError as exc:
             return {"ok": False, "error": str(exc)}
         forking = sorted(_FORKING_TRANSPORTS & set(spec.transports))
@@ -435,16 +448,16 @@ class ServeDaemon:
                     "--workers 1' instead"
                 ),
             }
-        hashes = hashes_for(jobs)
-        # Manifest before any cell runs: from this instant a kill at any
-        # point leaves a resumable sweep on disk.
-        sweep_id = self.store.write_manifest(spec, hashes)
-        self.book.register(
-            sweep_id, spec.name, hashes, json.loads(spec.to_json())
-        )
-        tally = {"hit": 0, "dedup": 0, "queued": 0, "done": 0, "failed": 0}
-        for digest, job in zip(hashes, jobs):
-            tally[self.queue.offer(digest, job)] += 1
+        if known:
+            # A known sweep's cells are all tracked, so offer needs no
+            # jobs: no re-expansion, no re-hashing, no manifest rewrite.
+            hashes = self.book.hashes_of(sweep_id)
+        else:
+            hashes = hashes_for(jobs)
+            # Manifest before any cell runs: from this instant a kill at
+            # any point leaves a resumable sweep on disk.
+            self.store.write_manifest(spec, hashes)
+        tally = self._admit(sweep_id, spec, hashes, jobs)
         self._pump()
         return {
             "ok": True,
@@ -486,18 +499,20 @@ class ServeDaemon:
         sweep_id = request.get("sweep")
         if not self.book.known(sweep_id):
             return {"ok": False, "error": f"unknown sweep {sweep_id!r}"}
-        if self.book.settled(sweep_id, self.queue):
+        cursor = self.book.first_unsettled(sweep_id, self.queue)
+        if cursor is None:
             return self._status_reply(sweep_id)
-        self._waiters.append((sock, sweep_id))
+        self._waiters.append((sock, sweep_id, cursor))
         return None  # deferred: _flush_waiters replies at settle time
 
     def _flush_waiters(self) -> None:
         still = []
-        for sock, sweep_id in self._waiters:
-            if self.book.settled(sweep_id, self.queue):
+        for sock, sweep_id, cursor in self._waiters:
+            cursor = self.book.first_unsettled(sweep_id, self.queue, cursor)
+            if cursor is None:
                 self._reply(sock, self._status_reply(sweep_id))
             else:
-                still.append((sock, sweep_id))
+                still.append((sock, sweep_id, cursor))
         self._waiters = still
 
     def _handle_fetch(self, request: dict) -> dict:
@@ -524,7 +539,7 @@ class ServeDaemon:
                     "wait on it before fetching"
                 ),
             }
-        results = self.store.results(self.book.hashes_of(sweep_id))
+        results = self.queue.results(self.book.hashes_of(sweep_id))
         if results is None:  # pragma: no cover - objects deleted under us
             return {
                 "ok": False,
@@ -548,6 +563,7 @@ class ServeDaemon:
             "resumed": self.resumed,
             "hits": self.queue.hits,
             "deduped": self.queue.deduped,
+            "object_reads": self.store.hits + self.store.misses,
             "sweeps": len(self.book.ids()),
             "queue_depth": self.queue.depth,
             "workers": len(self._children),

@@ -16,13 +16,18 @@ Dedup happens at :meth:`JobQueue.offer` time, in three tiers —
 So N clients submitting overlapping grids execute each overlapping
 cell exactly once — the differential tests in ``tests/test_serve.py``
 count ``executed`` against the number of *distinct* cells to prove it.
+
+A settled cell keeps its metrics on its tracked entry for the daemon's
+lifetime: set by :meth:`JobQueue.mark_done` after the store write, or,
+for a cell found on disk, read once by the first :meth:`JobQueue.results`
+that needs it.  Warm fetches never touch the store.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.serve.store import ContentStore
 from repro.sweep.jobs import Job
@@ -40,6 +45,7 @@ class _Tracked:
     state: str = "queued"  # queued | running | done | failed
     error: Optional[str] = None
     attempts: int = 0
+    metrics: Optional[dict] = None  # set once done; None = not read yet
 
 
 class JobQueue:
@@ -56,13 +62,15 @@ class JobQueue:
 
     # -- intake ---------------------------------------------------------
 
-    def offer(self, digest: str, job: Job) -> str:
+    def offer(self, digest: str, job: Optional[Job]) -> str:
         """Admit one cell; returns its disposition.
 
         ``"hit"`` — object already in the store, nothing to do.
         ``"dedup"`` — hash already queued/running for another sweep.
         ``"done"`` / ``"failed"`` — already settled this lifetime.
         ``"queued"`` — new work, appended to the ready deque.
+
+        ``job`` may be ``None`` only for a hash that is already tracked.
         """
         tracked = self._tracked.get(digest)
         if tracked is not None:
@@ -93,7 +101,9 @@ class JobQueue:
         """Persist the object, then flip the state — store first, so a
         kill between the two can only lose bookkeeping, never results."""
         self.store.put_hash(digest, metrics)
-        self._tracked[digest].state = "done"
+        tracked = self._tracked[digest]
+        tracked.state = "done"
+        tracked.metrics = metrics
         self.executed += 1
 
     def mark_failed(self, digest: str, error: str) -> None:
@@ -120,6 +130,20 @@ class JobQueue:
     def error_of(self, digest: str) -> Optional[str]:
         tracked = self._tracked.get(digest)
         return None if tracked is None else tracked.error
+
+    def results(self, hashes: Iterable[str]) -> Optional[list[dict]]:
+        """Metrics of done cells in order, or ``None`` if an object is
+        missing from the store.  A cell not yet in memory is read from
+        the store once and kept."""
+        out = []
+        for digest in hashes:
+            tracked = self._tracked[digest]
+            if tracked.metrics is None:
+                tracked.metrics = self.store.get_hash(digest)
+                if tracked.metrics is None:
+                    return None
+            out.append(tracked.metrics)
+        return out
 
     @property
     def depth(self) -> int:
@@ -162,19 +186,13 @@ class SweepBook:
         return dict(self._sweeps[sweep_id].spec_payload)
 
     def counts(self, sweep_id: str, queue: JobQueue) -> dict:
-        """Queued/running/done/failed tally over the sweep's cells.
-
-        Cells the queue never tracked (possible only for a sweep read
-        from a manifest whose objects already all exist) count by their
-        store presence.
-        """
+        """Queued/running/done/failed tally over the sweep's cells (all
+        tracked: a sweep's cells are offered as it is registered)."""
         entry = self._sweeps[sweep_id]
         tally = {"queued": 0, "running": 0, "done": 0, "failed": 0}
         errors = []
         for digest in entry.hashes:
             state = queue.state_of(digest)
-            if state is None:
-                state = "done" if queue.store.has_hash(digest) else "queued"
             tally[state] += 1
             if state == "failed":
                 error = queue.error_of(digest)
@@ -185,11 +203,18 @@ class SweepBook:
             tally["errors"] = errors
         return tally
 
-    def settled(self, sweep_id: str, queue: JobQueue) -> bool:
-        """No cell still queued or running (done or failed throughout)."""
-        counts = self.counts(sweep_id, queue)
-        return counts["queued"] == 0 and counts["running"] == 0
+    def first_unsettled(
+        self, sweep_id: str, queue: JobQueue, start: int = 0
+    ) -> Optional[int]:
+        """Index of the first queued or running cell at or after
+        ``start``, or ``None`` once the sweep is settled from there on.
 
-    def complete(self, sweep_id: str, queue: JobQueue) -> bool:
-        counts = self.counts(sweep_id, queue)
-        return counts["done"] == counts["total"]
+        A cell never leaves done or failed (a requeue moves it from
+        running back to queued, both unsettled), so a waiter can keep
+        the returned index as its cursor and scan each cell once.
+        """
+        hashes = self._sweeps[sweep_id].hashes
+        for index in range(start, len(hashes)):
+            if queue.state_of(hashes[index]) in ("queued", "running"):
+                return index
+        return None

@@ -109,22 +109,6 @@ class ContentStore(ResultCache):
             if manifest is not None:
                 yield manifest
 
-    # -- sweep-level queries --------------------------------------------
-
-    def missing(self, hashes: list[str]) -> list[str]:
-        """The subset of ``hashes`` with no object yet, order kept."""
-        return [h for h in hashes if not self.has_hash(h)]
-
-    def results(self, hashes: list[str]) -> Optional[list[dict]]:
-        """All metrics for ``hashes`` in order, or ``None`` if any miss."""
-        out = []
-        for digest in hashes:
-            metrics = self.get_hash(digest)
-            if metrics is None:
-                return None
-            out.append(metrics)
-        return out
-
     # -- daemon endpoint advert -----------------------------------------
 
     @property

@@ -30,6 +30,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.client import ServeClient
+from repro.serve.daemon import ServeDaemon
 from repro.serve.jobqueue import JobQueue, SweepBook
 from repro.serve.protocol import FrameBuffer, recv_frame, send_frame
 from repro.serve.store import ContentStore, hashes_for, sweep_id_for
@@ -85,13 +86,16 @@ class TestContentStore:
         manifest = store.read_manifest(sweep_id)
         assert manifest["jobs"] == hashes
         assert SweepSpec.from_dict(manifest["spec"]) == spec
-        assert store.missing(hashes) == hashes
+        # Cells with an object are hits; the missing ones queue, in order.
         store.put_hash(hashes[0], {"m": 1})
-        assert store.missing(hashes) == hashes[1:]
-        assert store.results(hashes) is None
+        queue = JobQueue(store)
+        dispositions = [queue.offer(d, j) for d, j in zip(hashes, jobs)]
+        assert dispositions == ["hit"] + ["queued"] * (len(hashes) - 1)
+        assert queue.results(hashes[:1]) == [{"m": 1}]
+        assert queue.results(hashes) is None  # an object is missing
         for digest in hashes[1:]:
             store.put_hash(digest, {"m": 2})
-        assert store.results(hashes) == [{"m": 1}] + [{"m": 2}] * (
+        assert queue.results(hashes) == [{"m": 1}] + [{"m": 2}] * (
             len(hashes) - 1
         )
 
@@ -153,14 +157,138 @@ class TestJobQueue:
         for digest, job in zip(hashes, jobs):
             queue.offer(digest, job)
         assert book.counts(sweep_id, queue)["queued"] == len(jobs)
-        assert not book.settled(sweep_id, queue)
+        assert book.first_unsettled(sweep_id, queue) == 0
         while True:
             item = queue.next_ready()
             if item is None:
                 break
             queue.mark_done(item[0], {"m": 1})
-        assert book.settled(sweep_id, queue)
-        assert book.complete(sweep_id, queue)
+        assert book.first_unsettled(sweep_id, queue) is None
+        counts = book.counts(sweep_id, queue)
+        assert counts["done"] == counts["total"] == len(jobs)
+
+    def test_results_are_read_from_the_store_once(self, tmp_path):
+        store = ContentStore(tmp_path / "store")
+        queue = JobQueue(store)
+        jobs = small_spec(seeds=(0, 1, 2)).jobs()
+        hashes = hashes_for(jobs)
+        store.put_hash(hashes[0], {"m": 0})  # found on disk: a hit
+        for digest, job in zip(hashes, jobs):
+            queue.offer(digest, job)
+        while (item := queue.next_ready()) is not None:
+            queue.mark_done(item[0], {"m": hashes.index(item[0])})
+        # Executed cells are served from memory; the hit is read once.
+        expected = [{"m": 0}, {"m": 1}, {"m": 2}]
+        assert queue.results(hashes) == expected
+        assert (store.hits, store.misses) == (1, 0)
+        assert queue.results(hashes) == expected
+        assert (store.hits, store.misses) == (1, 0)
+
+    def test_waiter_cursor_scans_each_cell_once(self, tmp_path, monkeypatch):
+        # One waiter on an N-cell sweep, one flush per settled cell: the
+        # waiter's cursor keeps the settle checks O(N), not O(N^2).
+        n = 200
+        daemon = ServeDaemon(tmp_path / "store", workers=1)
+        ours, theirs = socket.socketpair()
+        try:
+            spec = small_spec(seeds=tuple(range(n)))
+            receipt = daemon._handle_submit(
+                {"spec": json.loads(spec.to_json())}
+            )
+            assert receipt["queued"] == n
+            sweep = receipt["sweep"]
+            assert daemon._handle_wait(ours, {"sweep": sweep}) is None
+            calls = 0
+            state_of = daemon.queue.state_of
+
+            def counting_state_of(digest):
+                nonlocal calls
+                calls += 1
+                return state_of(digest)
+
+            monkeypatch.setattr(daemon.queue, "state_of", counting_state_of)
+            while (item := daemon.queue.next_ready()) is not None:
+                daemon.queue.mark_done(item[0], {"m": 1})
+                daemon._flush_waiters()
+            assert calls <= 3 * n
+            assert daemon._waiters == []
+            theirs.settimeout(5)
+            reply = recv_frame(theirs, FrameBuffer(), peer="daemon")
+            assert reply["counts"]["done"] == n
+        finally:
+            ours.close()
+            theirs.close()
+            daemon._selector.close()
+
+
+class TestKnownSweepSubmit:
+    """The in-memory resubmit path against the expand-and-hash path."""
+
+    @staticmethod
+    def submit(daemon, spec):
+        reply = daemon._handle_submit({"spec": json.loads(spec.to_json())})
+        assert reply["ok"], reply
+        return reply
+
+    def test_receipt_equals_the_expanding_path_in_any_state(self, tmp_path):
+        daemon = ServeDaemon(tmp_path / "store", workers=1)
+        try:
+            spec = small_spec(seeds=(0, 1, 2, 3, 4))
+            hashes = hashes_for(spec.jobs())
+            # One cell already on disk (hit), then one done, one failed,
+            # one running and one still queued.
+            daemon.store.put_hash(hashes[0], {"m": 0})
+            self.submit(daemon, spec)
+            queue = daemon.queue
+            queue.mark_done(queue.next_ready()[0], {"m": 1})
+            queue.mark_failed(queue.next_ready()[0], "boom")
+            queue.next_ready()
+            known = self.submit(daemon, spec)
+            stats = (queue.hits, queue.deduped)
+            # Same state, slow path: drop the manifest to force it.
+            daemon.store.manifest_path(known["sweep"]).unlink()
+            expanded = self.submit(daemon, spec)
+            assert known == expanded
+            assert (known["hits"], known["deduped"], known["queued"]) == (
+                2, 2, 0,
+            )
+            # Both paths move the dedup counter alike.
+            assert (queue.hits, queue.deduped) == (stats[0], stats[1] + 2)
+        finally:
+            daemon._selector.close()
+
+    def test_known_sweep_skips_expansion_until_manifest_removed(
+        self, tmp_path, monkeypatch
+    ):
+        daemon = ServeDaemon(tmp_path / "store", workers=1)
+        expansions = 0
+        jobs = SweepSpec.jobs
+
+        def counting_jobs(spec):
+            nonlocal expansions
+            expansions += 1
+            return jobs(spec)
+
+        monkeypatch.setattr(SweepSpec, "jobs", counting_jobs)
+        try:
+            spec = small_spec()
+            sweep = self.submit(daemon, spec)["sweep"]
+            path = daemon.store.manifest_path(sweep)
+            before = path.stat()
+            self.submit(daemon, spec)
+            after = path.stat()
+            assert expansions == 1
+            assert (after.st_ino, after.st_mtime_ns) == (
+                before.st_ino, before.st_mtime_ns,
+            )
+            path.unlink()
+            self.submit(daemon, spec)
+            assert expansions == 2
+            assert daemon.store.read_manifest(sweep)["jobs"] == hashes_for(
+                jobs(spec)
+            )
+        finally:
+            daemon._selector.close()
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +404,62 @@ class TestServeDifferential:
             assert again["queued"] == 0
             stats = client.stats()
         assert stats["executed"] == first["total"]
+
+    def test_warm_rounds_touch_no_store_object_or_manifest(self, daemon):
+        store, _proc = daemon
+        spec = small_spec(name="warm", seeds=(0, 1, 2))
+        expected = [o.metrics for o in run_jobs(spec.jobs(), workers=1)]
+        with ServeClient(store=store) as client:
+            sweep = client.submit(spec)["sweep"]
+            client.wait(sweep, timeout=120)
+            assert client.fetch(sweep) == expected
+            reads = client.stats()["object_reads"]
+            manifest = store / "sweeps" / f"{sweep}.json"
+            before = manifest.stat()
+            for _ in range(5):
+                receipt = client.submit(spec)
+                assert receipt["queued"] == 0
+                assert client.fetch(receipt["sweep"]) == expected
+            after = manifest.stat()
+            assert client.stats()["object_reads"] == reads
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino, before.st_mtime_ns,
+        )
+
+    def test_restart_reads_resumed_cells_lazily_once(self, tmp_path):
+        store = tmp_path / "store"
+        spec = small_spec(name="restart", seeds=(0, 1, 2))
+        receipts, fetched, reads = [], [], []
+        for _lifetime in range(2):
+            proc = start_daemon(store)
+            try:
+                with ServeClient(store=store) as client:
+                    receipt = client.submit(spec)
+                    client.wait(receipt["sweep"], timeout=120)
+                    receipts += [receipt, client.submit(spec)]
+                    reads.append(client.stats()["object_reads"])
+                    fetched.append(client.fetch(receipt["sweep"]))
+                    reads.append(client.stats()["object_reads"])
+                    fetched.append(client.fetch(receipt["sweep"]))
+                    reads.append(client.stats()["object_reads"])
+                    client.shutdown()
+                assert proc.wait(timeout=10) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+        # The resubmitted receipt is the one a fresh daemon gives.
+        assert receipts[0]["queued"] == 3
+        keys = ("sweep", "total", "hits", "deduped", "queued", "counts")
+        assert [{k: r[k] for k in keys} for r in receipts[1:]] == [
+            {k: receipts[1][k] for k in keys}
+        ] * 3
+        assert receipts[1]["hits"] == receipts[1]["total"] == 3
+        # First lifetime executed in memory; the second read each
+        # resumed cell from disk once, on its first fetch only.
+        assert reads == [0, 0, 0, 0, 3, 3]
+        expected = [o.metrics for o in run_jobs(spec.jobs(), workers=1)]
+        assert fetched == [expected] * 4
 
 
 @pytest.mark.serve
